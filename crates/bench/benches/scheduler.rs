@@ -39,8 +39,7 @@ fn bench_scheduler_throughput(c: &mut Criterion) {
 fn bench_batched_vs_reference_kernel(c: &mut Criterion) {
     // The tentpole comparison: the word-parallel batched kernel against the
     // scalar per-lane/per-option reference search, stepping the same
-    // pre-generated staging windows. `tensordash bench` measures the same
-    // pair and records the ratio in BENCH_<n>.json.
+    // pre-generated staging windows.
     let scheduler = Scheduler::paper(PeGeometry::paper());
     let mut rng = StdRng::seed_from_u64(3);
     for density in [0.1, 0.35, 0.6, 0.9] {
@@ -86,15 +85,18 @@ fn bench_batched_vs_reference_kernel(c: &mut Criterion) {
 }
 
 fn bench_group_run_vs_reference_engines(c: &mut Criterion) {
-    // Whole tile row-groups: one `run_masks_batched` call vs the golden
+    // Whole tile row-groups: one `run_masks_arena` call vs the golden
     // model (the old per-step RowEngine dispatch loop, kept canonical in
     // `Scheduler::run_masks_batched_reference`).
     let scheduler = Scheduler::paper(PeGeometry::paper());
     let streams: Vec<Vec<u64>> = (0..4).map(|i| masks(60 + i, 4096, 0.4)).collect();
+    let arena = streams.concat();
     let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
     let mut group = c.benchmark_group("group_run");
     group.throughput(Throughput::Elements((4 * 4096) as u64));
-    group.bench_function("batched", |b| b.iter(|| scheduler.run_masks_batched(&refs)));
+    group.bench_function("batched", |b| {
+        b.iter(|| scheduler.run_masks_arena(&arena, 4096))
+    });
     group.bench_function("reference_engines", |b| {
         b.iter(|| scheduler.run_masks_batched_reference(&refs))
     });

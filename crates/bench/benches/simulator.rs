@@ -11,8 +11,9 @@ fn bench_tile_group(c: &mut Criterion) {
     let mut group = c.benchmark_group("tile_run_group");
     let gen = ClusteredSparsity::new(0.6, 0.2);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
-    let streams: Vec<Vec<u64>> = (0..16)
-        .map(|i| gen.window_masks(&mut rng, i, 2048, 16))
+    // 16 streams of 2048 masks each, back to back in one arena.
+    let arena: Vec<u64> = (0..16)
+        .flat_map(|i| gen.window_masks(&mut rng, i, 2048, 16))
         .collect();
     for rows in [1usize, 4, 16] {
         let tile = Tile::new(TileConfig {
@@ -20,11 +21,13 @@ fn bench_tile_group(c: &mut Criterion) {
             cols: 4,
             pe: PeGeometry::paper(),
         });
-        let refs: Vec<&[u64]> = streams[..rows].iter().map(Vec::as_slice).collect();
+        let group_arena = &arena[..rows * 2048];
         group.throughput(Throughput::Elements((rows * 2048) as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(rows), &refs, |b, refs| {
-            b.iter(|| tile.run_group(refs))
-        });
+        group.bench_with_input(
+            BenchmarkId::from_parameter(rows),
+            group_arena,
+            |b, group_arena| b.iter(|| tile.run_group_arena(group_arena, rows, 2048)),
+        );
     }
     group.finish();
 }

@@ -40,16 +40,6 @@ COMMANDS:
                          the names are zoo models instead (none = the
                          full zoo) and every listed scheduler runs over
                          the same traces, side by side
-    bench                Run the fixed perf-tracking workload set and write
-                         BENCH_<n>.json (scheduler-kernel + trace-pipeline
-                         + service throughput plus end-to-end model
-                         evaluations).
-                         `--smoke` runs the seconds-scale CI variant;
-                         `--out <FILE>` overrides the output path;
-                         `--baseline <BENCH_n.json>` diffs throughput
-                         against a committed baseline and exits non-zero
-                         on regression (>20%; the noisier end-to-end
-                         service rate gates at >50%)
     train                Train a real CNN and report loss, accuracy,
                          per-tensor sparsity, and the simulated TensorDash
                          speedup per epoch — authentic dynamic sparsity
@@ -152,7 +142,6 @@ fn main() -> ExitCode {
 
 fn run(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
-        Some("bench") => return run_bench(&args[1..]),
         Some("train") => return run_train(&args[1..]),
         Some("trace") => return run_trace(&args[1..]),
         Some("serve") => return run_serve(&args[1..]),
@@ -262,131 +251,6 @@ fn parse_scheduler_list(raw: &str) -> Result<Vec<SchedulerKind>, String> {
         ));
     }
     Ok(kinds)
-}
-
-fn run_bench(args: &[String]) -> Result<(), String> {
-    let mut options = tensordash_bench::BenchOptions::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--smoke" => options.smoke = true,
-            "--out" => {
-                options.out = Some(take_value(&mut iter, "--out")?.into());
-            }
-            "--baseline" => {
-                options.baseline = Some(take_value(&mut iter, "--baseline")?.into());
-            }
-            other => return Err(format!("unknown `bench` argument `{other}`")),
-        }
-    }
-    // Resolve the baseline before the (minutes-long) measurement run,
-    // carrying the path alongside the parsed document — every later use
-    // flows through this one binding, so no "the path must still be
-    // there" assumption (the old `.expect("baseline path")` abort path)
-    // survives in the reporting code below.
-    let baseline = options
-        .baseline
-        .as_ref()
-        .map(|path| {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read baseline `{}`: {e}", path.display()))?;
-            tensordash_serde::json::parse(&text)
-                .map(|doc| (path.clone(), doc))
-                .map_err(|e| format!("invalid baseline `{}`: {e}", path.display()))
-        })
-        .transpose()?;
-    println!(
-        "running the {} perf workload set...",
-        if options.smoke { "smoke" } else { "full" }
-    );
-    let (path, summary) =
-        tensordash_bench::perf::run(&options).map_err(|e| format!("cannot write report: {e}"))?;
-    println!(
-        "kernel: {:.2}x single-step, {:.2}x row-group over the scalar reference ({:.2}x wide-over-narrow)",
-        summary.kernel.step_speedup(),
-        summary.kernel.group_speedup(),
-        summary.kernel.wide_speedup()
-    );
-    println!(
-        "sharding: {} {:.4}s at 1 thread, {:.4}s at 8 ({:.2}x)",
-        summary.sharding.model,
-        summary.sharding.wall_seconds_1_thread,
-        summary.sharding.wall_seconds_8_threads,
-        summary.sharding.parallel_speedup()
-    );
-    println!(
-        "trace:  {:.2}x bitmap extraction over the reference, {:.2}x warm-cache eval",
-        summary.trace.extraction_speedup(),
-        summary.trace.cache_hit_speedup
-    );
-    println!(
-        "source: {:.2e} live masks/s (train+extract), {:.2e} replay masks/s, {:.2e} record B/s",
-        summary.source.live_masks_per_sec,
-        summary.source.replay_masks_per_sec,
-        summary.source.record_bytes_per_sec
-    );
-    println!(
-        "store:  {:.2e} binary-replay masks/s ({:.1}x the JSON leg), {:.2e} pack B/s, {:.2}x v1 size",
-        summary.store.load_masks_per_sec,
-        summary.store.load_masks_per_sec / summary.source.replay_masks_per_sec,
-        summary.store.pack_bytes_per_sec,
-        summary.store.binary_over_json_bytes
-    );
-    for model in &summary.models {
-        println!(
-            "{:<16} {:>8.4}s wall ({:>7.4}s cached)  {:>14.0} sim cycles/s  speedup {:.3}x",
-            model.name,
-            model.wall_seconds,
-            model.wall_seconds_cached,
-            model.cycles_per_second,
-            model.speedup
-        );
-    }
-    println!(
-        "service: {:.2} req/s from {} clients (p50 {:.1} ms, p90 {:.1} ms, p99 {:.1} ms)",
-        summary.service.requests_per_sec,
-        summary.service.concurrency,
-        summary.service.latency_ms_p50,
-        summary.service.latency_ms_p90,
-        summary.service.latency_ms_p99
-    );
-    println!(
-        "total {:.2}s  -> wrote {}",
-        summary.total_wall_seconds,
-        path.display()
-    );
-
-    if let Some((baseline_path, baseline)) = baseline {
-        let diffs = tensordash_bench::diff_against_baseline(&summary, &baseline);
-        let mut regressed = false;
-        println!(
-            "\nbaseline {} (per-metric tolerance):",
-            baseline_path.display()
-        );
-        for diff in &diffs {
-            let flag = if diff.regressed() {
-                regressed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!(
-                "  {:<40} {:>12.3e} -> {:>12.3e}  ({:>5.2}x, >{:.0}% fails) {flag}",
-                diff.metric,
-                diff.baseline,
-                diff.current,
-                diff.ratio(),
-                diff.tolerance * 100.0
-            );
-        }
-        if diffs.is_empty() {
-            println!("  (no comparable metrics in baseline)");
-        }
-        if regressed {
-            return Err("throughput regressed against the baseline".to_string());
-        }
-    }
-    Ok(())
 }
 
 fn run_train(args: &[String]) -> Result<(), String> {

@@ -17,7 +17,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use tensordash_models::ModelSpec;
-use tensordash_sim::{CancelToken, Cancelled, ChipConfig, ModelReport, Simulator};
+use tensordash_sim::{CancelToken, Cancelled, ModelReport, Simulator};
 use tensordash_trace::{LayerOps, OpTrace, SourceError, TraceRequest, TraceSource};
 
 pub use tensordash_sim::{EvalSpec, EvalSpecBuilder, EvalSpecError};
@@ -465,35 +465,11 @@ impl ModelEval for Simulator {
     }
 }
 
-/// Evaluates one model on one chip.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Simulator::new(chip)` with `ModelEval::eval_model` instead"
-)]
-#[must_use]
-pub fn eval_model(chip: &ChipConfig, model: &ModelSpec, spec: &EvalSpec) -> ModelReport {
-    Simulator::new(*chip).eval_model(model, spec)
-}
-
-/// Evaluates one model on one chip with an explicit report label.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Simulator::new(chip)` with `ModelEval::eval_model_labeled` instead"
-)]
-#[must_use]
-pub fn eval_model_with_chip_label(
-    chip: &ChipConfig,
-    model: &ModelSpec,
-    spec: &EvalSpec,
-    label: &str,
-) -> ModelReport {
-    Simulator::new(*chip).eval_model_labeled(model, spec, label)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tensordash_models::paper_models;
+    use tensordash_sim::ChipConfig;
     use tensordash_trace::{SampleSpec, TrainingOp};
 
     #[test]
@@ -536,10 +512,8 @@ mod tests {
 
     /// The acceptance gate for the session API: the work-stealing
     /// `simulate_batch` path produces bit-identical `ModelReport`s to the
-    /// sequential per-layer loop the pre-session `eval_model` ran (and to
-    /// the deprecated shim, which now routes through the session).
+    /// sequential per-layer loop the pre-session `eval_model` ran.
     #[test]
-    #[allow(deprecated)]
     fn session_reports_are_bit_identical_to_the_sequential_path() {
         use tensordash_models::layer_traces;
         use tensordash_sim::LayerReport;
@@ -568,7 +542,6 @@ mod tests {
             };
             let new = sim.eval_model(model, &spec);
             assert_eq!(sequential, new, "{} diverged", model.name);
-            assert_eq!(eval_model(&chip, model, &spec), new, "shim diverged");
         }
     }
 

@@ -3,7 +3,7 @@
 //! Fires a randomized-but-deterministic mix of small experiment specs at
 //! a running `tensordash serve` instance from N concurrent clients, polls
 //! every job to completion, and reports end-to-end throughput and latency
-//! percentiles — the service-level benchmark `BENCH_<n>.json` tracks.
+//! percentiles.
 //!
 //! Each request's spec is derived from `(seed, request index)` alone, so
 //! two runs against the same server are the same traffic, and the mix

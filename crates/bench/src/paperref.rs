@@ -3,7 +3,8 @@
 //! Values stated in the paper's text are exact; per-model bar heights are
 //! approximate reads of the figures (the paper does not tabulate them) and
 //! are used only for shape comparison, never for calibration claims beyond
-//! what EXPERIMENTS.md documents.
+//! the calibrated sparsity profiles that `docs/ARCHITECTURE.md` ("The
+//! workload stack", `tensordash-models`) describes.
 
 /// Fig 13 total-speedup anchors. The text states the 1.95x mean explicitly;
 /// per-model values are approximate figure reads.

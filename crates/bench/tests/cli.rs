@@ -295,108 +295,14 @@ fn train_record_and_replay_are_byte_identical() {
     assert!(!out.status.success());
 }
 
-#[test]
-fn bench_smoke_writes_a_perf_report() {
-    let out_path = temp_file("bench-smoke.json");
-    let out = tensordash(&["bench", "--smoke", "--out", out_path.to_str().unwrap()]);
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("row-group"), "{text}");
-    let json = std::fs::read_to_string(&out_path).unwrap();
-    for key in [
-        "tensordash-bench/9",
-        "steps_per_sec_single_word",
-        "wide_speedup",
-        "wall_seconds_8_threads",
-        "parallel_speedup",
-        "modeled_speedup",
-        "live_masks_per_sec",
-        "handler_panics",
-        "store_quarantined",
-        "latency_ms_p90",
-        "load_masks_per_sec",
-        "pack_bytes_per_sec",
-        "step_speedup",
-        "group_speedup",
-        "extraction_speedup",
-        "cache_hit_speedup",
-        "cycles_per_second",
-        "wall_seconds_cached",
-        "requests_per_sec",
-        "AlexNet",
-    ] {
-        assert!(json.contains(key), "missing `{key}` in {json}");
-    }
-
-    // Deterministic gate checks (real recorded rates would race the
-    // machine's load): an easily-beaten baseline must pass and print the
-    // comparison table, an unbeatable one must fail the run.
-    let low_baseline = temp_file("bench-baseline-low.json");
-    std::fs::write(
-        &low_baseline,
-        r#"{"smoke": true, "kernel": {"steps_per_sec_batched": 1.0,
-            "group_masks_per_sec_batched": 1.0}}"#,
-    )
-    .unwrap();
-    let second_out = temp_file("bench-smoke-2.json");
-    let out = tensordash(&[
-        "bench",
-        "--smoke",
-        "--out",
-        second_out.to_str().unwrap(),
-        "--baseline",
-        low_baseline.to_str().unwrap(),
-    ]);
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("baseline"), "{text}");
-    assert!(text.contains("kernel.steps_per_sec_batched"), "{text}");
-
-    let high_baseline = temp_file("bench-baseline-high.json");
-    std::fs::write(
-        &high_baseline,
-        r#"{"smoke": true, "kernel": {"steps_per_sec_batched": 1.0e18,
-            "group_masks_per_sec_batched": 1.0e18}}"#,
-    )
-    .unwrap();
-    let out = tensordash(&[
-        "bench",
-        "--smoke",
-        "--out",
-        second_out.to_str().unwrap(),
-        "--baseline",
-        high_baseline.to_str().unwrap(),
-    ]);
-    assert!(!out.status.success(), "impossible baseline must fail");
-    assert!(String::from_utf8(out.stdout).unwrap().contains("REGRESSED"));
-    assert!(String::from_utf8(out.stderr).unwrap().contains("regressed"));
-
-    let out = tensordash(&["bench", "--baseline", "/nonexistent/BENCH_0.json"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8(out.stderr).unwrap().contains("baseline"));
-
-    let out = tensordash(&["bench", "--frobnicate"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8(out.stderr).unwrap().contains("bench"));
-}
-
-/// Regression test for the `--baseline` abort path: a flag with its value
-/// missing (or any malformed `serve`/`loadtest` argument) must exit
-/// through the usage-error path — `error: ...` on stderr, non-zero exit —
-/// never a panic/abort (`.expect("baseline path")` and friends).
+/// A flag with its value missing (or any malformed `train`/`serve`/
+/// `loadtest` argument) must exit through the usage-error path —
+/// `error: ...` on stderr, non-zero exit — never a panic/abort.
 #[test]
 fn arg_parse_failures_are_usage_errors_not_panics() {
     let cases: &[&[&str]] = &[
-        &["bench", "--baseline"],
-        &["bench", "--out"],
+        &["train", "--out"],
+        &["train", "--record"],
         &["serve", "--port"],
         &["serve", "--port", "not-a-number"],
         &["serve", "--workers", "0"],

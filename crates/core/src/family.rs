@@ -294,39 +294,8 @@ impl TwoToFourScheduler {
 
     /// Runs a lockstep row-group with the word-parallel kernel: one
     /// nibble-SWAR pairability test per stream per cycle, four streams per
-    /// word-group stride.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams` is empty or stream lengths differ.
-    #[must_use]
-    pub fn run_masks_batched(&self, streams: &[&[u64]]) -> BatchRun {
-        let rows = check_group(streams);
-        let lane_mask = self.geometry.lane_mask();
-        let mut run = batch_shell(streams, rows, lane_mask);
-        let can_pair = self.can_pair();
-        let mut pos = 0usize;
-        while pos < rows {
-            let advance = if can_pair
-                && pos + 1 < rows
-                && Self::group_pairable(
-                    |s| (streams[s][pos] & lane_mask, streams[s][pos + 1] & lane_mask),
-                    streams.len(),
-                ) {
-                2
-            } else {
-                1
-            };
-            run.cycles += 1;
-            run.scheduler_steps += streams.len() as u64;
-            pos += advance;
-        }
-        run
-    }
-
-    /// As [`run_masks_batched`](Self::run_masks_batched), reading
-    /// `arena.len() / rows` streams of `rows` masks each out of a flat
-    /// arena (zero-copy, like
+    /// word-group stride. Reads `arena.len() / rows` streams of `rows`
+    /// masks each out of a flat arena (zero-copy, like
     /// [`Scheduler::run_masks_arena`]).
     ///
     /// # Panics
@@ -454,28 +423,8 @@ impl TstdScheduler {
 
     /// Runs a lockstep row-group with the word-parallel kernel: the
     /// per-stream decomposition overflow count runs four rows per
-    /// word-group stride ([`overflow_rows`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams` is empty or stream lengths differ.
-    #[must_use]
-    pub fn run_masks_batched(&self, streams: &[&[u64]]) -> BatchRun {
-        let rows = check_group(streams);
-        let lane_mask = self.geometry.lane_mask();
-        let mut run = batch_shell(streams, rows, lane_mask);
-        let cycles = streams
-            .iter()
-            .map(|s| self.stream_cycles(rows as u64, overflow_rows(s, lane_mask)))
-            .max()
-            .unwrap_or(0);
-        run.cycles = cycles;
-        run.scheduler_steps = cycles * streams.len() as u64;
-        run
-    }
-
-    /// As [`run_masks_batched`](Self::run_masks_batched), reading streams
-    /// out of a flat arena.
+    /// word-group stride (`overflow_rows`). Reads streams out of a flat
+    /// arena.
     ///
     /// # Panics
     ///
@@ -560,35 +509,26 @@ impl DenseScheduler {
         rows
     }
 
-    /// Runs a lockstep row-group: `rows` cycles, every slot a MAC.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams` is empty or stream lengths differ.
-    #[must_use]
-    pub fn run_masks_batched(&self, streams: &[&[u64]]) -> BatchRun {
-        let rows = check_group(streams) as u64;
-        BatchRun {
-            cycles: self.cycles_for_rows(rows),
-            dense_cycles: rows,
-            macs: streams.len() as u64 * rows * self.geometry.lanes() as u64,
-            scheduler_steps: 0,
-        }
-    }
-
-    /// As [`run_masks_batched`](Self::run_masks_batched), reading streams
-    /// out of a flat arena.
+    /// Runs a lockstep row-group of `arena.len() / rows` streams out of a
+    /// flat arena: `rows` cycles, every slot a MAC.
     ///
     /// # Panics
     ///
     /// Panics if `rows` is zero or `arena` does not hold whole streams.
     #[must_use]
     pub fn run_masks_arena(&self, arena: &[u64], rows: usize) -> BatchRun {
-        let streams = check_arena(arena, rows) as u64;
+        self.price_group(check_arena(arena, rows), rows)
+    }
+
+    /// The group cost of `streams` streams of `rows` rows — content
+    /// independent, so the arena kernel and the slice-typed reference
+    /// share it.
+    fn price_group(&self, streams: usize, rows: usize) -> BatchRun {
+        let rows = rows as u64;
         BatchRun {
-            cycles: self.cycles_for_rows(rows as u64),
-            dense_cycles: rows as u64,
-            macs: streams * rows as u64 * self.geometry.lanes() as u64,
+            cycles: self.cycles_for_rows(rows),
+            dense_cycles: rows,
+            macs: streams as u64 * rows * self.geometry.lanes() as u64,
             scheduler_steps: 0,
         }
     }
@@ -654,21 +594,6 @@ impl SparsityScheduler {
         }
     }
 
-    /// Runs one lockstep row-group of equal-length mask streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams` is empty or stream lengths differ.
-    #[must_use]
-    pub fn run_masks_batched(&self, streams: &[&[u64]]) -> BatchRun {
-        match self {
-            SparsityScheduler::TensorDash(s) => s.run_masks_batched(streams),
-            SparsityScheduler::TwoToFour(s) => s.run_masks_batched(streams),
-            SparsityScheduler::Tstd(s) => s.run_masks_batched(streams),
-            SparsityScheduler::Dense(s) => s.run_masks_batched(streams),
-        }
-    }
-
     /// Runs one lockstep row-group straight out of a flat mask arena of
     /// `arena.len() / rows` back-to-back streams.
     ///
@@ -698,7 +623,7 @@ impl SparsityScheduler {
             SparsityScheduler::TensorDash(s) => s.run_masks_batched_reference(streams),
             SparsityScheduler::TwoToFour(s) => s.run_masks_batched_reference(streams),
             SparsityScheduler::Tstd(s) => s.run_masks_batched_reference(streams),
-            SparsityScheduler::Dense(s) => s.run_masks_batched(streams),
+            SparsityScheduler::Dense(s) => s.price_group(streams.len(), check_group(streams)),
         }
     }
 }
@@ -897,9 +822,9 @@ mod tests {
         }
     }
 
-    /// The property gate: the 2:4 batched kernel (slice and arena entry
-    /// points) is bit-identical to its scalar reference across randomized
-    /// geometries, group shapes, and densities.
+    /// The property gate: the 2:4 arena kernel is bit-identical to its
+    /// scalar reference across randomized geometries, group shapes, and
+    /// densities.
     #[test]
     fn two_to_four_batched_matches_reference_across_geometries() {
         let mut seed = 0x2424;
@@ -910,17 +835,10 @@ mod tests {
                     seed += 1;
                     let streams = random_streams(seed, count, 97, geometry.lanes(), density);
                     let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
-                    let arena: Vec<u64> = streams.iter().flatten().copied().collect();
-                    let reference = scheduler.run_masks_batched_reference(&refs);
                     assert_eq!(
-                        scheduler.run_masks_batched(&refs),
-                        reference,
+                        scheduler.run_masks_arena(&streams.concat(), 97),
+                        scheduler.run_masks_batched_reference(&refs),
                         "{geometry} x{count} d{density}"
-                    );
-                    assert_eq!(
-                        scheduler.run_masks_arena(&arena, 97),
-                        reference,
-                        "arena {geometry} x{count} d{density}"
                     );
                 }
             }
@@ -938,17 +856,10 @@ mod tests {
                     seed += 1;
                     let streams = random_streams(seed, count, 97, geometry.lanes(), density);
                     let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
-                    let arena: Vec<u64> = streams.iter().flatten().copied().collect();
-                    let reference = scheduler.run_masks_batched_reference(&refs);
                     assert_eq!(
-                        scheduler.run_masks_batched(&refs),
-                        reference,
+                        scheduler.run_masks_arena(&streams.concat(), 97),
+                        scheduler.run_masks_batched_reference(&refs),
                         "{geometry} x{count} d{density}"
-                    );
-                    assert_eq!(
-                        scheduler.run_masks_arena(&arena, 97),
-                        reference,
-                        "arena {geometry} x{count} d{density}"
                     );
                 }
             }
@@ -961,11 +872,10 @@ mod tests {
     fn structured_schedulers_respect_dense_and_ceiling_bounds() {
         for geometry in geometries() {
             for density in [0.0, 0.4, 1.0] {
-                let streams = random_streams(7, 3, 80, geometry.lanes(), density);
-                let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
+                let arena = random_streams(7, 3, 80, geometry.lanes(), density).concat();
                 for run in [
-                    TwoToFourScheduler::new(geometry).run_masks_batched(&refs),
-                    TstdScheduler::new(geometry).run_masks_batched(&refs),
+                    TwoToFourScheduler::new(geometry).run_masks_arena(&arena, 80),
+                    TstdScheduler::new(geometry).run_masks_arena(&arena, 80),
                 ] {
                     assert!(run.cycles <= run.dense_cycles, "{geometry} d{density}");
                     assert!(
@@ -985,11 +895,10 @@ mod tests {
     #[test]
     fn compliant_data_hits_exactly_two_x() {
         let geometry = PeGeometry::paper();
-        let streams = compliant_streams(11, 4, 100, geometry.lanes());
-        let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
-        let two_to_four = TwoToFourScheduler::new(geometry).run_masks_batched(&refs);
+        let arena = compliant_streams(11, 4, 100, geometry.lanes()).concat();
+        let two_to_four = TwoToFourScheduler::new(geometry).run_masks_arena(&arena, 100);
         assert_eq!(two_to_four.cycles, 50);
-        let tstd = TstdScheduler::new(geometry).run_masks_batched(&refs);
+        let tstd = TstdScheduler::new(geometry).run_masks_arena(&arena, 100);
         assert_eq!(tstd.cycles, 50);
     }
 
@@ -998,10 +907,9 @@ mod tests {
     #[test]
     fn one_dense_stream_throttles_the_two_to_four_group() {
         let geometry = PeGeometry::paper();
-        let dense = vec![0xFFFFu64; 60];
-        let empty = vec![0u64; 60];
-        let refs: Vec<&[u64]> = vec![&dense, &empty, &empty];
-        let run = TwoToFourScheduler::new(geometry).run_masks_batched(&refs);
+        let mut arena = vec![0xFFFFu64; 60];
+        arena.extend([0u64; 2 * 60]);
+        let run = TwoToFourScheduler::new(geometry).run_masks_arena(&arena, 60);
         assert_eq!(run.cycles, 60);
     }
 
@@ -1011,19 +919,21 @@ mod tests {
         let geometry = PeGeometry::paper();
         let streams = random_streams(3, 4, 50, geometry.lanes(), 0.5);
         let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
-        let arena: Vec<u64> = streams.iter().flatten().copied().collect();
         let scheduler = DenseScheduler::new(geometry);
-        let run = scheduler.run_masks_batched(&refs);
+        let run = scheduler.run_masks_arena(&streams.concat(), 50);
         assert_eq!(run.cycles, 50);
         assert_eq!(run.dense_cycles, 50);
         assert_eq!(run.macs, 4 * 50 * 16);
         assert_eq!(run.scheduler_steps, 0);
-        assert_eq!(scheduler.run_masks_arena(&arena, 50), run);
+        assert_eq!(
+            SparsityScheduler::Dense(scheduler).run_masks_batched_reference(&refs),
+            run
+        );
         assert_eq!(scheduler.cycles_for_rows(123), 123);
     }
 
     /// The family interface's TensorDash arm is the unmodified paper
-    /// scheduler: bit-identical on every entry point.
+    /// scheduler: bit-identical on the kernel and the reference.
     #[test]
     fn family_tensordash_arm_is_bit_identical_to_the_raw_scheduler() {
         let geometry = PeGeometry::paper();
@@ -1032,11 +942,7 @@ mod tests {
         for density in [0.1, 0.5, 0.9] {
             let streams = random_streams(21, 4, 150, geometry.lanes(), density);
             let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
-            let arena: Vec<u64> = streams.iter().flatten().copied().collect();
-            assert_eq!(
-                family.run_masks_batched(&refs),
-                raw.run_masks_batched(&refs)
-            );
+            let arena = streams.concat();
             assert_eq!(
                 family.run_masks_arena(&arena, 150),
                 raw.run_masks_arena(&arena, 150)
@@ -1053,15 +959,14 @@ mod tests {
     #[test]
     fn family_members_order_as_expected_on_mid_sparsity() {
         let geometry = PeGeometry::paper();
-        let streams = random_streams(9, 4, 200, geometry.lanes(), 0.35);
-        let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
+        let arena = random_streams(9, 4, 200, geometry.lanes(), 0.35).concat();
         let cycles: Vec<u64> = SchedulerKind::ALL
             .iter()
             .map(|&kind| {
                 let scheduler = SparsityScheduler::new(kind, geometry);
                 assert_eq!(scheduler.kind(), kind);
                 assert_eq!(scheduler.geometry(), geometry);
-                scheduler.run_masks_batched(&refs).cycles
+                scheduler.run_masks_arena(&arena, 200).cycles
             })
             .collect();
         let (tensordash, two_to_four, tstd, dense) = (cycles[0], cycles[1], cycles[2], cycles[3]);
@@ -1079,7 +984,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one stream")]
     fn empty_two_to_four_group_is_rejected() {
-        let _ = TwoToFourScheduler::new(PeGeometry::paper()).run_masks_batched(&[]);
+        let _ = TwoToFourScheduler::new(PeGeometry::paper()).run_masks_batched_reference(&[]);
     }
 
     #[test]
@@ -1087,7 +992,7 @@ mod tests {
     fn ragged_tstd_group_is_rejected() {
         let a = vec![0u64; 4];
         let b = vec![0u64; 5];
-        let _ = TstdScheduler::new(PeGeometry::paper()).run_masks_batched(&[&a, &b]);
+        let _ = TstdScheduler::new(PeGeometry::paper()).run_masks_batched_reference(&[&a, &b]);
     }
 
     #[test]

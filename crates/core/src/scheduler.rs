@@ -23,21 +23,21 @@
 //! * the window can drain at most `depth` rows per cycle, capping the
 //!   speedup at `depth`× (3× for the paper's configuration).
 //!
-//! This module is the repository's hot path, and since PR 2 it is
-//! implemented as a **batched bitmask kernel**: the lane-uniform option
-//! shape lets one ring rotation decide a whole conflict-free level per
-//! priority, dense rows are consumed in a single word operation, and
-//! [`Scheduler::run_masks_batched`] additionally packs `64 / lanes` staging
-//! windows of a lockstep tile row-group into every `u64`. Since PR 10 the
-//! kernel is also **wide-word**: packed words are consumed in unrolled
-//! `[u64; 4]` word-group strides ([`Scheduler::step_masks4`] is the public
-//! four-window entry; [`Scheduler::step_masks`] is the one-word tail), so
-//! each `(level, priority)` table entry resolves four words of windows per
-//! pass of straight-line register arithmetic. The scalar
-//! per-lane search survives as [`Scheduler::step_masks_reference`] — the
-//! golden model for equivalence tests (same cells consumed, bit for bit,
-//! over random mask streams) and the baseline for the scheduler
-//! microbenchmarks and `tensordash bench`.
+//! This module is the repository's hot path, implemented as a **batched
+//! bitmask kernel**: the lane-uniform option shape lets one ring rotation
+//! decide a whole conflict-free level per priority, dense rows are
+//! consumed in a single word operation, and [`Scheduler::run_masks_arena`]
+//! — the one entry the tile simulator drives — packs `64 / lanes` staging
+//! windows of a lockstep tile row-group into every `u64`. The kernel is
+//! also **wide-word**: packed words are consumed in unrolled `[u64; 4]`
+//! word-group strides with a one-word tail, so each `(level, priority)`
+//! table entry resolves four words of windows per pass of straight-line
+//! register arithmetic. The scalar per-lane search survives as
+//! [`Scheduler::step_masks_reference`], and the engine-per-stream group
+//! loop as [`Scheduler::run_masks_batched_reference`] — the golden models
+//! for the equivalence tests (same cells consumed, bit for bit, over
+//! random mask streams) and the baselines of the scheduler
+//! microbenchmarks.
 
 use crate::connectivity::{Connectivity, Movement};
 use crate::geometry::{PeGeometry, MAX_DEPTH};
@@ -134,65 +134,6 @@ pub struct BatchRun {
     pub scheduler_steps: u64,
 }
 
-/// How the batched kernel reads a row-group's streams: a vector of slices
-/// or a flat arena of back-to-back equal-length streams. Monomorphized
-/// into the kernel, so both entries compile to direct indexing.
-trait BatchStreams {
-    /// Number of streams in the group.
-    fn count(&self) -> usize;
-    /// Rows per stream (equal across the group).
-    fn len(&self) -> usize;
-    /// Stream `j`'s rows `start..end`.
-    fn rows(&self, j: usize, start: usize, end: usize) -> &[u64];
-    /// Stream `j`'s single row `i` (the common steady-state refill is one
-    /// row per cycle — this skips the slice machinery).
-    fn row(&self, j: usize, i: usize) -> u64;
-}
-
-struct SliceStreams<'a> {
-    streams: &'a [&'a [u64]],
-    len: usize,
-}
-
-impl BatchStreams for SliceStreams<'_> {
-    fn count(&self) -> usize {
-        self.streams.len()
-    }
-    fn len(&self) -> usize {
-        self.len
-    }
-    #[inline]
-    fn rows(&self, j: usize, start: usize, end: usize) -> &[u64] {
-        &self.streams[j][start..end]
-    }
-    #[inline]
-    fn row(&self, j: usize, i: usize) -> u64 {
-        self.streams[j][i]
-    }
-}
-
-struct ArenaStreams<'a> {
-    arena: &'a [u64],
-    rows: usize,
-}
-
-impl BatchStreams for ArenaStreams<'_> {
-    fn count(&self) -> usize {
-        self.arena.len() / self.rows
-    }
-    fn len(&self) -> usize {
-        self.rows
-    }
-    #[inline]
-    fn rows(&self, j: usize, start: usize, end: usize) -> &[u64] {
-        &self.arena[j * self.rows + start..j * self.rows + end]
-    }
-    #[inline]
-    fn row(&self, j: usize, i: usize) -> u64 {
-        self.arena[j * self.rows + i]
-    }
-}
-
 /// The batched bitmask scheduler. This is the hot structure of the whole
 /// repository — the tile simulator runs it over millions of staging windows.
 ///
@@ -205,7 +146,7 @@ impl BatchStreams for ArenaStreams<'_> {
 /// retained as [`Scheduler::step_masks_reference`], the golden model the
 /// equivalence tests and benchmarks compare against. Single streams run
 /// through [`Scheduler::run_masks`]; whole lockstep tile row-groups run
-/// through [`Scheduler::run_masks_batched`], which additionally packs
+/// through [`Scheduler::run_masks_arena`], which additionally packs
 /// `64 / lanes` windows into each word.
 ///
 /// # Examples
@@ -214,10 +155,11 @@ impl BatchStreams for ArenaStreams<'_> {
 /// use tensordash_core::{PeGeometry, Scheduler};
 ///
 /// let scheduler = Scheduler::paper(PeGeometry::paper());
-/// // Two 16-lane streams processed in lockstep (a 2-row tile group).
-/// let a = vec![0x00FF_u64; 30];
-/// let b = vec![0x0F0F_u64; 30];
-/// let run = scheduler.run_masks_batched(&[&a, &b]);
+/// // Two 16-lane streams of 30 rows each, back to back in one arena,
+/// // processed in lockstep (a 2-row tile group).
+/// let mut arena = vec![0x00FF_u64; 30];
+/// arena.extend([0x0F0F_u64; 30]);
+/// let run = scheduler.run_masks_arena(&arena, 30);
 /// assert_eq!(run.dense_cycles, 30);
 /// assert!(run.cycles < 30); // both streams are half sparse
 /// assert_eq!(run.macs, 2 * 30 * 8); // every effectual pair, once
@@ -474,86 +416,6 @@ impl Scheduler {
         }
     }
 
-    /// Four independent scheduling steps resolved in one call — the
-    /// wide-word kernel.
-    ///
-    /// Each `z[i]` is one staging window under the exact
-    /// [`step_masks`](Scheduler::step_masks) contract, and each returned
-    /// outcome is bit-identical to stepping that window alone. The four
-    /// windows never interact: they are packed subword-style (`64 /
-    /// lanes` windows to a word, exactly as the batched group loop
-    /// stages its streams — a 16-lane PE packs all four into one `u64`),
-    /// the packed word group is stepped with the tiled level/promotion
-    /// masks, and each window's outcome is recovered from its own slot:
-    /// consumed cells only ever clear, so per-window MACs are the slot's
-    /// popcount delta. Every `(level, priority)` table entry thus costs
-    /// one pass of straight-line word arithmetic over the whole group
-    /// instead of four dependent loop trips. Callers with a window count
-    /// that is not a multiple of four step the remainder through
-    /// `step_masks` as the one-word tail.
-    pub fn step_masks4(&self, z: &mut [[u64; MAX_DEPTH]; 4]) -> [StepOutcome; 4] {
-        // Monomorphize the pack/unpack on the slot count: with SLOTS a
-        // constant the `j % SLOTS` / `j / SLOTS` indexing strength-reduces
-        // and the fixed-bound loops unroll, where a runtime divisor costs
-        // a hardware divide per trip — measurably slower than the packed
-        // step itself at 16 lanes.
-        match self.packed_slots.min(4) {
-            4 => self.step_masks4_packed::<4>(z),
-            3 => self.step_masks4_packed::<3>(z),
-            2 => self.step_masks4_packed::<2>(z),
-            _ => self.step_masks4_packed::<1>(z),
-        }
-    }
-
-    fn step_masks4_packed<const SLOTS: usize>(
-        &self,
-        z: &mut [[u64; MAX_DEPTH]; 4],
-    ) -> [StepOutcome; 4] {
-        let lanes = self.geometry.lanes() as u32;
-        let full = self.geometry.lane_mask();
-        let word_count = 4usize.div_ceil(SLOTS);
-
-        let mut words = [[0u64; MAX_DEPTH]; 4];
-        let mut word_full = [0u64; 4];
-        for j in 0..4 {
-            let shift = (j % SLOTS) as u32 * lanes;
-            word_full[j / SLOTS] |= full << shift;
-            for (row, &bits) in words[j / SLOTS].iter_mut().zip(&z[j]) {
-                *row |= (bits & full) << shift;
-            }
-        }
-        let before = words;
-        if word_count == 4 {
-            self.step_words4(&mut words, &word_full);
-        } else {
-            for w in 0..word_count {
-                self.step_word1(&mut words[w], word_full[w]);
-            }
-        }
-
-        let mut out = [StepOutcome {
-            drainable: 0,
-            macs: 0,
-        }; 4];
-        for j in 0..4 {
-            let shift = (j % SLOTS) as u32 * lanes;
-            let mut macs = 0u32;
-            for r in 0..MAX_DEPTH {
-                let slot_after = (words[j / SLOTS][r] >> shift) & full;
-                // Cells only ever clear, so the slot's consumed count is
-                // the popcount of the bits that went away.
-                let cleared = (before[j / SLOTS][r] >> shift) & full & !slot_after;
-                macs += cleared.count_ones();
-                z[j][r] = slot_after;
-            }
-            out[j] = StepOutcome {
-                drainable: self.drainable(&z[j]),
-                macs: macs as usize,
-            };
-        }
-        out
-    }
-
     /// The scalar per-lane, per-option reference search — the pre-batching
     /// implementation of [`Scheduler::step_masks`], retained as the golden
     /// model for the kernel-equivalence tests and the speedup baseline of
@@ -659,6 +521,13 @@ impl Scheduler {
     /// Runs a whole tile row-group of mask streams in lockstep through the
     /// batched kernel, without per-step engine dispatch.
     ///
+    /// The group's streams are read straight out of a flat mask **arena**:
+    /// `arena` holds `arena.len() / rows` equal-length streams back to
+    /// back, `rows` masks each. This is the entry the tile simulator feeds
+    /// whole trace span groups through — no per-group slice vector is
+    /// materialized, and the kernel's refills walk one contiguous
+    /// allocation.
+    ///
     /// One stream per PE row; all rows share the dense-side staging window,
     /// so the group advances by the **minimum** drain across streams each
     /// cycle (§3.3) — a single dense stream throttles the whole group. All
@@ -671,33 +540,10 @@ impl Scheduler {
     /// `[u64; 4]` word-group strides, so each `(level, priority)` table
     /// entry resolves up to sixteen PE rows with one unrolled pass of
     /// masked subword rotations (the paper's 16-row tile is exactly one
-    /// word group). Results are bit-identical to driving one [`RowEngine`]
-    /// per stream and min-reducing the outcomes — windows never interact
+    /// word group). Results are bit-identical to
+    /// [`Scheduler::run_masks_batched_reference`] — one [`RowEngine`] per
+    /// stream, min-reducing the outcomes — because windows never interact
     /// except through the shared drain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams` is empty or the stream lengths differ.
-    #[must_use]
-    pub fn run_masks_batched(&self, streams: &[&[u64]]) -> BatchRun {
-        assert!(!streams.is_empty(), "a row-group needs at least one stream");
-        let len = streams[0].len();
-        assert!(
-            streams.iter().all(|s| s.len() == len),
-            "all streams in a row-group must have equal length"
-        );
-        self.run_batched_impl(SliceStreams { streams, len })
-    }
-
-    /// As [`Scheduler::run_masks_batched`], reading the group's streams
-    /// straight out of a flat mask **arena**: `arena` holds
-    /// `arena.len() / rows` equal-length streams back to back, `rows` masks
-    /// each. This is the entry the tile simulator feeds whole trace span
-    /// groups through — no per-group slice vector is materialized, and the
-    /// kernel's refills walk one contiguous allocation.
-    ///
-    /// Bit-identical to calling [`Scheduler::run_masks_batched`] on the
-    /// equivalent slices.
     ///
     /// # Panics
     ///
@@ -711,19 +557,11 @@ impl Scheduler {
             "arena of {} masks does not hold whole {rows}-row streams",
             arena.len()
         );
-        self.run_batched_impl(ArenaStreams { arena, rows })
-    }
-
-    fn run_batched_impl<S: BatchStreams>(&self, streams: S) -> BatchRun {
-        let len = streams.len();
-        let count = streams.count();
+        let count = arena.len() / rows;
         let mut run = BatchRun {
-            dense_cycles: len as u64,
+            dense_cycles: rows as u64,
             ..BatchRun::default()
         };
-        if len == 0 {
-            return run;
-        }
 
         let depth = self.geometry.depth();
         let lanes = self.geometry.lanes() as u32;
@@ -740,11 +578,12 @@ impl Scheduler {
             .collect();
 
         // Initial fill: `depth` rows (or the whole stream if shorter).
-        let mut pending = depth.min(len);
+        let mut pending = depth.min(rows);
         let mut cursor = pending;
         for j in 0..count {
             let shift = (j % slots) as u32 * lanes;
-            for (row, &bits) in words[j / slots].iter_mut().zip(streams.rows(j, 0, pending)) {
+            let stream = &arena[j * rows..j * rows + pending];
+            for (row, &bits) in words[j / slots].iter_mut().zip(stream) {
                 *row |= (bits & mask) << shift;
             }
         }
@@ -757,7 +596,7 @@ impl Scheduler {
 
             let advance = drainable.min(pending);
             pending -= advance;
-            let refill = (depth - pending).min(len - cursor);
+            let refill = (depth - pending).min(rows - cursor);
             for word in &mut words {
                 word.rotate_left(advance);
                 for row in &mut word[MAX_DEPTH - advance..] {
@@ -769,16 +608,14 @@ impl Scheduler {
                 // row per cycle.
                 for j in 0..count {
                     let shift = (j % slots) as u32 * lanes;
-                    words[j / slots][pending] |= (streams.row(j, cursor) & mask) << shift;
+                    words[j / slots][pending] |= (arena[j * rows + cursor] & mask) << shift;
                 }
             } else {
                 for j in 0..count {
                     let shift = (j % slots) as u32 * lanes;
                     let word = &mut words[j / slots];
-                    for (row, &bits) in word[pending..pending + refill]
-                        .iter_mut()
-                        .zip(streams.rows(j, cursor, cursor + refill))
-                    {
+                    let stream = &arena[j * rows + cursor..j * rows + cursor + refill];
+                    for (row, &bits) in word[pending..pending + refill].iter_mut().zip(stream) {
                         *row |= (bits & mask) << shift;
                     }
                 }
@@ -790,17 +627,17 @@ impl Scheduler {
     }
 
     /// The engine-per-stream reference implementation of
-    /// [`Scheduler::run_masks_batched`]: one [`RowEngine`] per stream
+    /// [`Scheduler::run_masks_arena`]: one [`RowEngine`] per stream
     /// driven by the scalar kernel
     /// ([`RowEngine::schedule_reference`]), min-drain synchronized — the
     /// exact pre-batching tile group loop. This is the golden model the
-    /// packed group path's equivalence tests, microbenchmarks, and
-    /// `tensordash bench` all share; keeping it in one place guarantees
-    /// they compare against identical semantics.
+    /// packed group path's equivalence tests and microbenchmarks share;
+    /// keeping it in one place guarantees they compare against identical
+    /// semantics.
     ///
     /// # Panics
     ///
-    /// As [`Scheduler::run_masks_batched`].
+    /// Panics if `streams` is empty or the stream lengths differ.
     #[must_use]
     pub fn run_masks_batched_reference(&self, streams: &[&[u64]]) -> BatchRun {
         assert!(!streams.is_empty(), "a row-group needs at least one stream");
@@ -1204,29 +1041,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_entry_matches_slice_entry_bit_for_bit() {
-        let s = paper_scheduler();
-        let mut state = 0x1234_5678_u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 24
-        };
-        for count in [1usize, 3, 4, 7, 16, 17, 21, 33] {
-            for rows in [1usize, 17, 160] {
-                let arena: Vec<u64> = (0..count * rows).map(|_| next() & 0xFFFF).collect();
-                let slices: Vec<&[u64]> = arena.chunks(rows).collect();
-                assert_eq!(
-                    s.run_masks_arena(&arena, rows),
-                    s.run_masks_batched(&slices),
-                    "count {count} rows {rows}"
-                );
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "whole")]
     fn arena_entry_rejects_ragged_arenas() {
         let s = paper_scheduler();
@@ -1335,71 +1149,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_step_matches_single_word_and_reference_across_geometries() {
-        // The wide-word equivalence gate: `step_masks4` must make, for each
-        // of its four windows, exactly the decisions the one-word path (and
-        // therefore the scalar reference) makes — same macs, same drain,
-        // same residual windows — across every lane width we model,
-        // including sustained multi-step drains.
-        use rand::{rngs::StdRng, SeedableRng};
-        let geometries = [
-            PeGeometry::paper(),
-            PeGeometry::paper_shallow(),
-            PeGeometry::walkthrough(),
-            PeGeometry::new(3, 2).unwrap(),
-            PeGeometry::new(7, 3).unwrap(),
-            PeGeometry::new(31, 4).unwrap(),
-            PeGeometry::new(64, 4).unwrap(),
-            PeGeometry::new(16, 1).unwrap(),
-        ];
-        let mut rng = StdRng::seed_from_u64(0x4DA5);
-        for geometry in geometries {
-            let s = Scheduler::paper(geometry);
-            for _ in 0..1_000 {
-                let mut wide = [
-                    random_window(&mut rng, geometry),
-                    random_window(&mut rng, geometry),
-                    random_window(&mut rng, geometry),
-                    random_window(&mut rng, geometry),
-                ];
-                let mut narrow = wide;
-                for _ in 0..geometry.depth() {
-                    let outcomes = s.step_masks4(&mut wide);
-                    for i in 0..4 {
-                        let solo = s.step_masks(&mut narrow[i]);
-                        assert_eq!(wide[i], narrow[i], "window {i} diverged on {geometry}");
-                        assert_eq!(outcomes[i], solo, "outcome {i} diverged on {geometry}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wide_step_matches_on_custom_connectivity() {
-        use rand::{rngs::StdRng, SeedableRng};
-        let spec = ConnectivitySpec::custom(vec![(2, 5), (1, 2), (1, -1), (2, -7)]).unwrap();
-        let geometry = PeGeometry::new(24, 3).unwrap();
-        let s = Scheduler::new(&Connectivity::from_spec(geometry, &spec));
-        let mut rng = StdRng::seed_from_u64(0xC0_24);
-        for _ in 0..1_000 {
-            let mut wide = [
-                random_window(&mut rng, geometry),
-                random_window(&mut rng, geometry),
-                random_window(&mut rng, geometry),
-                random_window(&mut rng, geometry),
-            ];
-            let mut reference = wide;
-            let outcomes = s.step_masks4(&mut wide);
-            for i in 0..4 {
-                let r = s.step_masks_reference(&mut reference[i]);
-                assert_eq!(wide[i], reference[i], "window {i}");
-                assert_eq!(outcomes[i], r, "outcome {i}");
-            }
-        }
-    }
-
-    #[test]
     fn batched_kernel_matches_reference_on_custom_connectivity() {
         use rand::{rngs::StdRng, SeedableRng};
         let spec = ConnectivitySpec::custom(vec![(2, 5), (1, 2), (1, -1), (2, -7)]).unwrap();
@@ -1416,57 +1165,91 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_group_run_matches_reference_engines() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let s = paper_scheduler();
-        let mut rng = StdRng::seed_from_u64(0xBA7C);
-        // Stream counts straddling the word-group stride: 1–8 streams stay
-        // inside one or two packed words (the one-word tail), 16 is exactly
-        // one [u64; 4] group, 21 is one group plus a two-word tail.
-        for rows in [1usize, 2, 3, 4, 8, 16, 21] {
-            for density_percent in [0u32, 10, 35, 50, 80, 100] {
-                let streams: Vec<Vec<u64>> = (0..rows)
-                    .map(|_| {
-                        (0..257)
-                            .map(|_| {
-                                let mut m = 0u64;
-                                for lane in 0..16 {
-                                    if rng.gen_range(0..100u32) < density_percent {
-                                        m |= 1 << lane;
-                                    }
-                                }
-                                m
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
-                let batched = s.run_masks_batched(&refs);
-                let reference = s.run_masks_batched_reference(&refs);
-                assert_eq!(batched, reference, "rows {rows} density {density_percent}");
+    /// `count` streams of `rows` random masks, back to back in one arena,
+    /// each lane effectual with probability `density`.
+    fn random_arena(
+        rng: &mut rand::rngs::StdRng,
+        geometry: PeGeometry,
+        count: usize,
+        rows: usize,
+        density: f64,
+    ) -> Vec<u64> {
+        use rand::Rng;
+        (0..count * rows)
+            .map(|_| {
+                (0..geometry.lanes())
+                    .filter(|_| rng.gen_bool(density))
+                    .fold(0u64, |m, lane| m | 1 << lane)
+            })
+            .collect()
+    }
+
+    /// The arena group kernel against the engine-per-stream reference for
+    /// one scheduler, at stream counts straddling the `[u64; 4]` word-group
+    /// stride: one and two streams, one packed word, exactly one word
+    /// group, and a word group plus a two-word tail (the last word
+    /// partially filled); streams shorter than the staging window and
+    /// long enough for sustained multi-row drains.
+    fn assert_arena_matches_reference(s: &Scheduler, rng: &mut rand::rngs::StdRng) {
+        let geometry = s.geometry();
+        let slots = s.packed_slots;
+        for count in [1, 2, slots, 4 * slots, 4 * slots + slots + 1] {
+            for rows in [1usize, 2, 257] {
+                for density in [0.0, 0.15, 0.5, 0.9, 1.0] {
+                    let arena = random_arena(rng, geometry, count, rows, density);
+                    let streams: Vec<&[u64]> = arena.chunks(rows).collect();
+                    assert_eq!(
+                        s.run_masks_arena(&arena, rows),
+                        s.run_masks_batched_reference(&streams),
+                        "{geometry} count {count} rows {rows} density {density}"
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn batched_single_stream_matches_run_masks() {
+    fn arena_group_run_matches_reference_across_geometries() {
+        // The wide-kernel equivalence gate: every packed slot count the
+        // lane widths produce (21 windows per word at 3 lanes down to one
+        // at 64), through both the `[u64; 4]` word-group body and the
+        // one-word tail, including sustained multi-step drains.
+        use rand::{rngs::StdRng, SeedableRng};
+        let geometries = [
+            PeGeometry::paper(),
+            PeGeometry::paper_shallow(),
+            PeGeometry::walkthrough(),
+            PeGeometry::new(3, 2).unwrap(),
+            PeGeometry::new(7, 3).unwrap(),
+            PeGeometry::new(31, 4).unwrap(),
+            PeGeometry::new(64, 4).unwrap(),
+            PeGeometry::new(16, 1).unwrap(),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x4DA5);
+        for geometry in geometries {
+            assert_arena_matches_reference(&Scheduler::paper(geometry), &mut rng);
+        }
+    }
+
+    #[test]
+    fn arena_group_run_matches_reference_on_custom_connectivity() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let spec = ConnectivitySpec::custom(vec![(2, 5), (1, 2), (1, -1), (2, -7)]).unwrap();
+        let geometry = PeGeometry::new(24, 3).unwrap();
+        let s = Scheduler::new(&Connectivity::from_spec(geometry, &spec));
+        assert_arena_matches_reference(&s, &mut StdRng::seed_from_u64(0xC0_24));
+    }
+
+    #[test]
+    fn arena_single_stream_matches_run_masks() {
         let s = paper_scheduler();
         let stream: Vec<u64> = (0..1_000).map(|i| (i * 2654435761u64) & 0xFFFF).collect();
         let solo = s.run_masks(stream.iter().copied());
-        let batched = s.run_masks_batched(&[&stream]);
+        let batched = s.run_masks_arena(&stream, stream.len());
         assert_eq!(batched.cycles, solo.cycles);
         assert_eq!(batched.dense_cycles, solo.dense_cycles);
         assert_eq!(batched.macs, solo.macs);
         assert_eq!(batched.scheduler_steps, solo.cycles);
-    }
-
-    #[test]
-    fn batched_empty_streams_yield_zero_run() {
-        let s = paper_scheduler();
-        let empty: &[u64] = &[];
-        let run = s.run_masks_batched(&[empty, empty]);
-        assert_eq!(run, BatchRun::default());
     }
 
     #[test]

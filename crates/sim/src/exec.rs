@@ -9,13 +9,13 @@
 //! multiply by the pass count.
 //!
 //! Each sampled window group is handed to the tile as one
-//! [`Tile::run_group`] call, which executes the whole lockstep loop inside
-//! the batched scheduler kernel
-//! ([`Scheduler::run_masks_batched`](tensordash_core::Scheduler::run_masks_batched))
+//! [`Tile::run_group_arena`] call, which executes the whole lockstep loop
+//! inside the batched scheduler kernel
+//! ([`Scheduler::run_masks_arena`](tensordash_core::Scheduler::run_masks_arena))
 //! — the dominant cost of every simulation, with no per-cycle dispatch.
 //!
 //! The sampled region of one operation is additionally exposed as a
-//! [`SampledPlan`]: a list of per-tile-row-group chunks the batch
+//! `SampledPlan`: a list of per-tile-row-group chunks the batch
 //! simulator shards across its work-stealing pool, so a single big
 //! (transformer-shaped) operation parallelizes *within* one model run.
 //! Chunk aggregates are exact `u64` sums, so the input-ordered reduction
@@ -62,47 +62,15 @@ tensordash_serde::impl_serde_struct!(OpSim {
     sampled_speedup
 });
 
-/// Simulates one operation on both machines at once, sharing the (dominant)
-/// bit-exact tile simulation between them.
-///
-/// # Panics
-///
-/// Panics if the trace's lane count differs from the chip's PE width, or if
-/// the trace has no sampled windows.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Simulator::new(chip).simulate_pair(&trace)` instead"
-)]
-#[must_use]
-pub fn simulate_pair(chip: &ChipConfig, trace: &OpTrace) -> (OpSim, OpSim) {
-    simulate_pair_impl(chip, &Tile::new(chip.tile), trace)
-}
-
-/// Simulates one operation end to end.
-///
-/// # Panics
-///
-/// Panics if the trace's lane count differs from the chip's PE width, or if
-/// the trace has no sampled windows.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Simulator::new(chip).simulate(&trace, mode)` instead"
-)]
-#[must_use]
-pub fn simulate_op(chip: &ChipConfig, trace: &OpTrace, mode: ExecMode) -> OpSim {
-    simulate_op_impl(chip, &Tile::new(chip.tile), trace, mode)
-}
-
-pub(crate) fn simulate_pair_impl(
-    chip: &ChipConfig,
-    tile: &Tile,
-    trace: &OpTrace,
-) -> (OpSim, OpSim) {
+/// Simulates one operation on both machines at once, sharing the
+/// (dominant) bit-exact tile simulation between them.
+pub(crate) fn simulate_pair(chip: &ChipConfig, tile: &Tile, trace: &OpTrace) -> (OpSim, OpSim) {
     let sampled = run_sampled(chip, tile, trace);
     finish_pair(chip, tile, trace, &sampled)
 }
 
-pub(crate) fn simulate_op_impl(
+/// Simulates one operation end to end on one machine.
+pub(crate) fn simulate_op(
     chip: &ChipConfig,
     tile: &Tile,
     trace: &OpTrace,
@@ -341,8 +309,7 @@ mod tests {
     use crate::session::Simulator;
     use tensordash_trace::{ConvDims, SampleSpec, SparsityGen, UniformSparsity};
 
-    /// The session API drives all exec tests (the deprecated free function
-    /// of the same name is covered by `session::tests`).
+    /// The session API drives all exec tests.
     fn simulate_op(chip: &ChipConfig, trace: &OpTrace, mode: ExecMode) -> OpSim {
         Simulator::new(*chip).simulate(trace, mode)
     }

@@ -2,8 +2,7 @@
 //! configuration, with single-op, paired, and thread-pooled batch entry
 //! points.
 //!
-//! This is the public API experiments are written against; the free
-//! functions in [`exec`] remain as deprecated shims.
+//! This is the public API experiments are written against.
 
 use crate::config::ChipConfig;
 use crate::eval::EvalSpec;
@@ -163,7 +162,7 @@ impl Simulator {
     /// or if the trace has no sampled windows.
     #[must_use]
     pub fn simulate(&self, trace: &OpTrace, mode: ExecMode) -> OpSim {
-        exec::simulate_op_impl(&self.chip, &self.tile, trace, mode)
+        exec::simulate_op(&self.chip, &self.tile, trace, mode)
     }
 
     /// Simulates one operation on both machines at once, sharing the
@@ -174,7 +173,7 @@ impl Simulator {
     /// As [`simulate`](Simulator::simulate).
     #[must_use]
     pub fn simulate_pair(&self, trace: &OpTrace) -> (OpSim, OpSim) {
-        exec::simulate_pair_impl(&self.chip, &self.tile, trace)
+        exec::simulate_pair(&self.chip, &self.tile, trace)
     }
 
     /// Simulates one operation on both machines and packages the result as
@@ -514,15 +513,6 @@ mod tests {
         let layers = sim.simulate_batch(&groups);
         let got: Vec<&str> = layers.iter().map(|l| l.label.as_str()).collect();
         assert_eq!(got, labels);
-    }
-
-    #[test]
-    fn session_agrees_with_free_functions() {
-        let sim = Simulator::paper();
-        let trace = &traces(0.7, 1)[0];
-        #[allow(deprecated)]
-        let old = crate::exec::simulate_op(sim.chip(), trace, ExecMode::TensorDash);
-        assert_eq!(sim.simulate(trace, ExecMode::TensorDash), old);
     }
 
     #[test]

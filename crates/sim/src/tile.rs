@@ -10,7 +10,7 @@
 //! why clustered sparsity hurts more than uniform.
 //!
 //! The whole lockstep loop executes inside
-//! [`SparsityScheduler::run_masks_batched`]: one call per window group —
+//! [`SparsityScheduler::run_masks_arena`]: one call per window group —
 //! for the default TensorDash member, bit-exact with (and much faster
 //! than) driving one [`RowEngine`](tensordash_core::RowEngine) per row
 //! step by step. [`Tile::with_scheduler`] swaps in any other member of
@@ -93,53 +93,18 @@ impl Tile {
     }
 
     /// Streams one group of scheduled-side mask streams (one per row, at
-    /// most `rows`) through the tile in lockstep.
-    ///
-    /// All streams must have equal length — they are windows of the same
-    /// operation and cover the same reduction extent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams` is empty, exceeds the row count, or lengths
-    /// differ.
-    #[must_use]
-    pub fn run_group(&self, streams: &[&[u64]]) -> GroupRun {
-        assert!(
-            !streams.is_empty(),
-            "a window group needs at least one stream"
-        );
-        assert!(
-            streams.len() <= self.config.rows,
-            "group of {} streams exceeds {} tile rows",
-            streams.len(),
-            self.config.rows
-        );
-        let len = streams[0].len();
-        assert!(
-            streams.iter().all(|s| s.len() == len),
-            "all streams in a group must have equal length"
-        );
-
-        // Every row schedules independently; the tile advances by the
-        // minimum drain because the dense-side window is shared. The whole
-        // lockstep loop runs inside the batched scheduler kernel — one call
-        // per group, no per-step engine dispatch.
-        let run = self.scheduler.run_masks_batched(streams);
-        GroupRun {
-            cycles: run.cycles,
-            dense_cycles: run.dense_cycles,
-            macs_per_column: run.macs,
-            scheduler_steps: run.scheduler_steps,
-        }
-    }
-
-    /// As [`Tile::run_group`], streaming `windows` equal-length streams of
-    /// `rows` masks each straight out of a flat mask arena (a contiguous
-    /// span group of an [`OpTrace`](tensordash_trace::OpTrace)) — the
-    /// zero-copy entry the chip simulator uses: no per-group slice vector
+    /// most `rows`) through the tile in lockstep: `windows` equal-length
+    /// streams of `rows` masks each, straight out of a flat mask arena (a
+    /// contiguous span group of an
+    /// [`OpTrace`](tensordash_trace::OpTrace)). No per-group slice vector
     /// is built, and the kernel walks one contiguous allocation.
     ///
-    /// Bit-identical to [`Tile::run_group`] on the equivalent slices.
+    /// The streams are windows of the same operation and cover the same
+    /// reduction extent. Every row schedules independently; the tile
+    /// advances by the minimum drain because the dense-side window is
+    /// shared. The whole lockstep loop runs inside the batched scheduler
+    /// kernel — one call per group, no per-step engine dispatch. A group
+    /// of zero-row streams costs nothing.
     ///
     /// # Panics
     ///
@@ -209,11 +174,16 @@ mod tests {
             .collect()
     }
 
+    /// Runs equal-length `streams` through `t` as one flattened arena.
+    fn run(t: &Tile, streams: &[Vec<u64>]) -> GroupRun {
+        t.run_group_arena(&streams.concat(), streams.len(), streams[0].len())
+    }
+
     #[test]
     fn single_row_matches_stream_run() {
         let t = tile(1);
         let stream = random_stream(1, 500, 0.4);
-        let group = t.run_group(&[&stream]);
+        let group = t.run_group_arena(&stream, 1, stream.len());
         let solo = Scheduler::paper(PeGeometry::paper()).run_masks(stream.iter().copied());
         assert_eq!(group.cycles, solo.cycles);
         assert_eq!(group.macs_per_column, solo.macs);
@@ -225,9 +195,7 @@ mod tests {
         let streams: Vec<Vec<u64>> = (0..16).map(|i| random_stream(i, 400, 0.35)).collect();
         let mut previous = 0u64;
         for rows in [1usize, 2, 4, 8, 16] {
-            let t = tile(rows);
-            let refs: Vec<&[u64]> = streams[..rows].iter().map(Vec::as_slice).collect();
-            let run = t.run_group(&refs);
+            let run = run(&tile(rows), &streams[..rows]);
             assert!(
                 run.cycles >= previous,
                 "rows {rows} ran faster than a subset"
@@ -240,8 +208,7 @@ mod tests {
     fn group_cycles_bounded_by_slowest_row() {
         let t = tile(4);
         let streams: Vec<Vec<u64>> = (0..4).map(|i| random_stream(10 + i, 300, 0.5)).collect();
-        let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
-        let group = t.run_group(&refs);
+        let group = run(&t, &streams);
         let solo_max = streams
             .iter()
             .map(|s| {
@@ -261,11 +228,24 @@ mod tests {
     #[test]
     fn all_empty_streams_drain_at_depth_rate() {
         let t = tile(4);
-        let empty = vec![0u64; 99];
-        let refs: Vec<&[u64]> = (0..4).map(|_| empty.as_slice()).collect();
-        let run = t.run_group(&refs);
+        let run = t.run_group_arena(&[0u64; 4 * 99], 4, 99);
         assert_eq!(run.cycles, 33);
         assert_eq!(run.macs_per_column, 0);
+    }
+
+    #[test]
+    fn zero_row_streams_yield_zero_run() {
+        let run = tile(2).run_group_arena(&[], 2, 0);
+        assert_eq!(run, tile(2).run_group_arena(&[], 1, 0));
+        assert_eq!(
+            run,
+            GroupRun {
+                cycles: 0,
+                dense_cycles: 0,
+                macs_per_column: 0,
+                scheduler_steps: 0,
+            }
+        );
     }
 
     #[test]
@@ -273,8 +253,7 @@ mod tests {
         let t = tile(4);
         let dense = vec![0xFFFFu64; 120];
         let empty = vec![0u64; 120];
-        let refs: Vec<&[u64]> = vec![&dense, &empty, &empty, &empty];
-        let run = t.run_group(&refs);
+        let run = run(&t, &[dense, empty.clone(), empty.clone(), empty]);
         assert_eq!(run.cycles, 120, "the dense row forces one row per cycle");
     }
 
@@ -287,25 +266,22 @@ mod tests {
             .flat_map(|s| s.iter())
             .map(|m| u64::from(m.count_ones()))
             .sum();
-        let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
-        let run = t.run_group(&refs);
-        assert_eq!(run.macs_per_column, expected);
+        assert_eq!(run(&t, &streams).macs_per_column, expected);
     }
 
     #[test]
     fn scheduler_steps_count_rows_times_cycles() {
         let t = tile(3);
         let streams: Vec<Vec<u64>> = (0..3).map(|i| random_stream(30 + i, 150, 0.5)).collect();
-        let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
-        let run = t.run_group(&refs);
+        let run = run(&t, &streams);
         assert_eq!(run.scheduler_steps, run.cycles * 3);
     }
 
     #[test]
-    fn run_group_matches_the_reference_engine_loop() {
+    fn arena_groups_match_the_reference_engine_loop() {
         // The golden model: the engine-per-stream reference loop with the
-        // scalar kernel (the exact pre-batching `run_group` behaviour).
-        for rows in [1usize, 2, 4] {
+        // scalar kernel (the exact pre-batching tile group behaviour).
+        for rows in [1usize, 2, 3, 4] {
             let t = tile(rows);
             for (seed, density) in [(40, 0.15), (41, 0.5), (42, 0.95)] {
                 let streams: Vec<Vec<u64>> = (0..rows)
@@ -313,30 +289,11 @@ mod tests {
                     .collect();
                 let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
                 let reference = t.scheduler.run_masks_batched_reference(&refs);
-                let group = t.run_group(&refs);
+                let group = run(&t, &streams);
                 assert_eq!(group.cycles, reference.cycles, "rows {rows} d {density}");
                 assert_eq!(group.dense_cycles, reference.dense_cycles);
                 assert_eq!(group.macs_per_column, reference.macs);
                 assert_eq!(group.scheduler_steps, reference.scheduler_steps);
-            }
-        }
-    }
-
-    #[test]
-    fn arena_groups_match_slice_groups() {
-        for rows in [1usize, 3, 4] {
-            let t = tile(rows);
-            for (seed, density) in [(50, 0.2), (51, 0.6)] {
-                let streams: Vec<Vec<u64>> = (0..rows)
-                    .map(|i| random_stream(seed + i as u64, 123, density))
-                    .collect();
-                let arena: Vec<u64> = streams.iter().flatten().copied().collect();
-                let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
-                assert_eq!(
-                    t.run_group_arena(&arena, rows, 123),
-                    t.run_group(&refs),
-                    "rows {rows} density {density}"
-                );
             }
         }
     }
@@ -349,17 +306,22 @@ mod tests {
             pe: PeGeometry::paper(),
         };
         let streams: Vec<Vec<u64>> = (0..4).map(|i| random_stream(60 + i, 240, 0.35)).collect();
-        let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
         assert_eq!(
             Tile::new(config).scheduler_kind(),
             SchedulerKind::TensorDash
         );
-        let dense = Tile::with_scheduler(config, SchedulerKind::Dense).run_group(&refs);
+        let dense = run(
+            &Tile::with_scheduler(config, SchedulerKind::Dense),
+            &streams,
+        );
         assert_eq!(dense.cycles, 240, "the dense member prices every row");
-        let tensordash = Tile::with_scheduler(config, SchedulerKind::TensorDash).run_group(&refs);
-        assert_eq!(tensordash, Tile::new(config).run_group(&refs));
+        let tensordash = run(
+            &Tile::with_scheduler(config, SchedulerKind::TensorDash),
+            &streams,
+        );
+        assert_eq!(tensordash, run(&Tile::new(config), &streams));
         for kind in [SchedulerKind::TwoToFour, SchedulerKind::Tstd] {
-            let run = Tile::with_scheduler(config, kind).run_group(&refs);
+            let run = run(&Tile::with_scheduler(config, kind), &streams);
             assert!(
                 run.cycles <= 240 && run.cycles >= 120,
                 "{kind}: {}",
@@ -393,17 +355,6 @@ mod tests {
     #[should_panic(expected = "exceeds")]
     fn oversized_group_is_rejected() {
         let t = tile(2);
-        let s = vec![0u64; 10];
-        let refs: Vec<&[u64]> = vec![&s, &s, &s];
-        let _ = t.run_group(&refs);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn ragged_group_is_rejected() {
-        let t = tile(2);
-        let a = vec![0u64; 10];
-        let b = vec![0u64; 11];
-        let _ = t.run_group(&[&a, &b]);
+        let _ = t.run_group_arena(&[0u64; 30], 3, 10);
     }
 }

@@ -115,7 +115,7 @@ pub fn extract_op_trace(
 /// The original per-element extraction: every window mask is assembled by
 /// reading each covered `f32` individually. Kept as the golden model for
 /// [`extract_op_trace`]'s equivalence tests and as the baseline of the
-/// extraction microbenchmarks and `tensordash bench`'s `trace` section.
+/// extraction microbenchmarks.
 ///
 /// # Panics
 ///
