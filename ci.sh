@@ -5,6 +5,17 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 step() { printf '\n=== %s\n' "$*"; }
+# Waits up to 10 s for a signalled server to exit and returns its exit
+# status: a server that misses its shutdown wake fails CI, not hangs it.
+wait_bounded() {
+  for _ in $(seq 1 100); do
+    kill -0 "$1" 2>/dev/null || { wait "$1"; return; }
+    sleep 0.1
+  done
+  echo "pid $1 still running 10 s after SIGTERM"
+  kill -KILL "$1" 2>/dev/null || true
+  return 1
+}
 
 step "cargo fmt --check"
 cargo fmt --all -- --check
@@ -173,7 +184,7 @@ curl -sf "$serve_url/metrics" | grep -q '"dedup_hits"'
 ./target/release/tensordash loadtest "$serve_url" --smoke
 # ...then assert the SIGTERM path drains and exits cleanly.
 kill -TERM "$serve_pid"
-wait "$serve_pid" || { echo "serve did not exit cleanly after SIGTERM"; exit 1; }
+wait_bounded "$serve_pid" || { echo "serve did not exit cleanly after SIGTERM"; exit 1; }
 grep -q "shut down cleanly" "$serve_log"
 
 step "tensordash trace gc smoke"
@@ -207,7 +218,7 @@ done
 ./target/release/tensordash loadtest "$chaos_url" --chaos 7 --smoke
 # Even a fault-injected server must drain cleanly on SIGTERM.
 kill -TERM "$chaos_pid"
-wait "$chaos_pid" || { echo "chaos serve did not exit cleanly after SIGTERM"; exit 1; }
+wait_bounded "$chaos_pid" || { echo "chaos serve did not exit cleanly after SIGTERM"; exit 1; }
 grep -q "shut down cleanly" "$chaos_log"
 
 step "perfbench tests (the repository benchmark, tiny inputs, byte-correctness gates)"

@@ -302,32 +302,50 @@ fn drive_spec(
         .get("report_url")
         .and_then(|v| v.as_str().ok().map(str::to_string))
         .ok_or("submit response missing report_url")?;
-    let deadline = start + timeout;
+    let mut extra = 0u64;
+    let polled = await_report(addr, &report_url, timeout, policy, &mut extra);
+    retries.fetch_add(extra, Ordering::Relaxed);
+    let report = polled?;
+    match report.status {
+        200 => Ok(start.elapsed().as_secs_f64()),
+        other => Err(format!("poll got {other}: {}", report.body_utf8_lossy())),
+    }
+}
+
+/// Polls `report_url` until it answers anything but `202` (job still
+/// running) and returns that response. Each poll runs under `policy`;
+/// its extra attempts are added to `retries`.
+///
+/// # Errors
+///
+/// The transport error once `policy` is spent, or a message when the
+/// job is still running `timeout` after the first poll.
+pub fn await_report(
+    addr: SocketAddr,
+    report_url: &str,
+    timeout: Duration,
+    policy: &RetryPolicy,
+    retries: &mut u64,
+) -> Result<ClientResponse, String> {
+    let deadline = Instant::now() + timeout;
     loop {
-        let mut extra = 0u64;
-        let poll = client_request_with_retry(
+        let response = client_request_with_retry(
             addr,
             "GET",
-            &report_url,
+            report_url,
             None,
             timeout,
             policy,
-            Some(&mut extra),
-        );
-        retries.fetch_add(extra, Ordering::Relaxed);
-        let response = poll.map_err(|e| format!("poll failed: {e}"))?;
-        match response.status {
-            200 => return Ok(start.elapsed().as_secs_f64()),
-            202 => {
-                if Instant::now() > deadline {
-                    return Err(format!("job not done within {timeout:?}"));
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            other => {
-                return Err(format!("poll got {other}: {}", response.body_utf8_lossy()));
-            }
+            Some(&mut *retries),
+        )
+        .map_err(|e| format!("poll failed: {e}"))?;
+        if response.status != 202 {
+            return Ok(response);
         }
+        if Instant::now() > deadline {
+            return Err(format!("job not done within {timeout:?}"));
+        }
+        std::thread::sleep(Duration::from_millis(2));
     }
 }
 

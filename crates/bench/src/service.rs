@@ -63,6 +63,10 @@ use tensordash_server::server::{Handler, Server, ServerConfig, ServerFaultStats,
 use tensordash_sim::CancelToken;
 use tensordash_store::{StoreError, StoreOp, TraceStore};
 
+/// Connection threads of the HTTP layer: requests parsed and answered
+/// concurrently, each thread blocked in `accept` between requests.
+const CONNECTION_THREADS: usize = 8;
+
 /// How `tensordash serve` should run.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -75,8 +79,6 @@ pub struct ServiceConfig {
     /// Pending-job queue capacity (`--queue-cap`); submissions beyond it
     /// get `429` back-pressure.
     pub queue_capacity: usize,
-    /// Connection-handler threads of the HTTP layer.
-    pub connection_threads: usize,
     /// Shut down after this long with no requests and no running jobs.
     pub idle_shutdown: Option<Duration>,
     /// Root of the content-addressed trace store (`--trace-dir`).
@@ -106,7 +108,6 @@ impl Default for ServiceConfig {
                 .min(4),
             cache_capacity: crate::harness::DEFAULT_CACHE_CAPACITY,
             queue_capacity: 256,
-            connection_threads: 8,
             idle_shutdown: None,
             trace_dir: None,
             max_body_bytes: tensordash_server::http::DEFAULT_MAX_BODY_BYTES,
@@ -574,7 +575,7 @@ impl Service {
         let server = Server::bind(
             ServerConfig {
                 addr: config.addr,
-                connection_threads: config.connection_threads.max(1),
+                connection_threads: CONNECTION_THREADS,
                 max_body_bytes: config.max_body_bytes.max(1),
                 idle_shutdown: config.idle_shutdown,
                 faults,
@@ -610,12 +611,14 @@ impl Service {
     }
 
     /// Serves until shutdown (flag, `SIGTERM`, idle timeout, or
-    /// `POST /v1/shutdown`), then drains: admitted jobs finish, workers
-    /// and connection threads join.
+    /// `POST /v1/shutdown`), then drains: accepted requests are answered,
+    /// admitted jobs finish, and simulation workers and connection threads
+    /// join.
     ///
     /// # Errors
     ///
-    /// Returns accept-loop I/O errors.
+    /// Returns the transport's first `accept` error (see
+    /// [`Server::run`]).
     pub fn run(self) -> io::Result<()> {
         let worker_handles: Vec<_> = (0..self.workers)
             .map(|_| {
@@ -682,7 +685,9 @@ impl RunningService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loadtest::await_report;
     use tensordash_server::http::{client_exchange, client_request};
+    use tensordash_server::retry::RetryPolicy;
 
     const TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -761,18 +766,10 @@ mod tests {
         let submitted = json::parse(&body).unwrap();
         let id = submitted.get("job").unwrap().as_int().unwrap();
         let report_url = format!("/v1/jobs/{id}/report");
-        let deadline = Instant::now() + TIMEOUT;
-        let report = loop {
-            let (status, body) = client_request(addr, "GET", &report_url, None, TIMEOUT).unwrap();
-            match status {
-                200 => break body,
-                202 => {
-                    assert!(Instant::now() < deadline, "job never finished");
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                other => panic!("unexpected status {other}: {body}"),
-            }
-        };
+        let polled =
+            await_report(addr, &report_url, TIMEOUT, &RetryPolicy::none(), &mut 0).unwrap();
+        let report = polled.body_utf8_lossy();
+        assert_eq!(polled.status, 200, "{report}");
         assert!(report.contains("\"svc-unit\""), "{report}");
         assert!(report.contains("total_speedup"), "{report}");
 
@@ -852,26 +849,11 @@ mod tests {
             .unwrap()
             .as_int()
             .unwrap();
-        let deadline = Instant::now() + TIMEOUT;
-        loop {
-            let (status, body) =
-                client_request(addr, "GET", &format!("/v1/jobs/{id}/report"), None, TIMEOUT)
-                    .unwrap();
-            match status {
-                202 => {
-                    assert!(
-                        Instant::now() < deadline,
-                        "job never reached a terminal state"
-                    );
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                504 => {
-                    assert!(body.contains("deadline"), "{body}");
-                    break;
-                }
-                other => panic!("unexpected status {other}: {body}"),
-            }
-        }
+        let url = format!("/v1/jobs/{id}/report");
+        let polled = await_report(addr, &url, TIMEOUT, &RetryPolicy::none(), &mut 0).unwrap();
+        let body = polled.body_utf8_lossy();
+        assert_eq!(polled.status, 504, "{body}");
+        assert!(body.contains("deadline"), "{body}");
         let (status, body) =
             client_request(addr, "GET", &format!("/v1/jobs/{id}"), None, TIMEOUT).unwrap();
         assert_eq!(status, 200);
@@ -894,23 +876,11 @@ mod tests {
             .unwrap()
             .as_int()
             .unwrap();
-        let deadline = Instant::now() + TIMEOUT;
-        loop {
-            let (status, body) =
-                client_request(addr, "GET", &format!("/v1/jobs/{id}/report"), None, TIMEOUT)
-                    .unwrap();
-            match status {
-                202 => {
-                    assert!(Instant::now() < deadline, "job never finished");
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                200 => {
-                    assert!(body.contains("total_speedup"), "{body}");
-                    break;
-                }
-                other => panic!("unexpected status {other}: {body}"),
-            }
-        }
+        let url = format!("/v1/jobs/{id}/report");
+        let polled = await_report(addr, &url, TIMEOUT, &RetryPolicy::none(), &mut 0).unwrap();
+        let body = polled.body_utf8_lossy();
+        assert_eq!(polled.status, 200, "{body}");
+        assert!(body.contains("total_speedup"), "{body}");
 
         let (_, body) = client_request(addr, "GET", "/metrics", None, TIMEOUT).unwrap();
         let metrics = json::parse(&body).unwrap();

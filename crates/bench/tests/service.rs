@@ -8,11 +8,13 @@
 //! must be invisible in the results.
 
 use std::net::SocketAddr;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tensordash_bench::experiment::ExperimentSpec;
+use tensordash_bench::loadtest::await_report;
 use tensordash_bench::service::{Service, ServiceConfig};
 use tensordash_serde::json;
 use tensordash_server::http::client_request;
+use tensordash_server::retry::RetryPolicy;
 use tensordash_sim::{ChipConfig, EvalSpec, SchedulerKind};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
@@ -51,18 +53,10 @@ fn submit_and_fetch(addr: SocketAddr, spec: &ExperimentSpec) -> String {
         .as_str()
         .unwrap()
         .to_string();
-    let deadline = Instant::now() + TIMEOUT;
-    loop {
-        let (status, body) = client_request(addr, "GET", &report_url, None, TIMEOUT).unwrap();
-        match status {
-            200 => return body,
-            202 => {
-                assert!(Instant::now() < deadline, "job never completed");
-                std::thread::sleep(Duration::from_millis(3));
-            }
-            other => panic!("polling {report_url} got {other}: {body}"),
-        }
-    }
+    let polled = await_report(addr, &report_url, TIMEOUT, &RetryPolicy::none(), &mut 0).unwrap();
+    let body = polled.body_utf8_lossy();
+    assert_eq!(polled.status, 200, "polling {report_url}: {body}");
+    body
 }
 
 /// The tentpole acceptance test: serial and 8-way concurrent submissions

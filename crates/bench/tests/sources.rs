@@ -10,7 +10,7 @@
 //!   recorded builds never collide and replays hit warm traces.
 
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tensordash_bench::experiment::ExperimentSpec;
 use tensordash_bench::harness::{ModelEval, TraceCache};
 use tensordash_bench::train::{capture_training, TrainOptions};
@@ -156,8 +156,10 @@ fn recorded_artifact_replays_byte_identically_through_experiment_specs() {
 #[test]
 fn recorded_artifact_replays_byte_identically_through_serve() {
     use tensordash_bench::experiment::SourceContext;
+    use tensordash_bench::loadtest::await_report;
     use tensordash_bench::service::{Service, ServiceConfig};
     use tensordash_server::http::client_request;
+    use tensordash_server::retry::RetryPolicy;
     use tensordash_store::TraceStore;
 
     const TIMEOUT: Duration = Duration::from_secs(30);
@@ -206,18 +208,9 @@ fn recorded_artifact_replays_byte_identically_through_serve() {
         .as_int()
         .unwrap();
     let report_url = format!("/v1/jobs/{id}/report");
-    let deadline = Instant::now() + TIMEOUT;
-    let report = loop {
-        let (status, body) = client_request(addr, "GET", &report_url, None, TIMEOUT).unwrap();
-        match status {
-            200 => break body,
-            202 => {
-                assert!(Instant::now() < deadline, "replay job never finished");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            other => panic!("unexpected status {other}: {body}"),
-        }
-    };
+    let polled = await_report(addr, &report_url, TIMEOUT, &RetryPolicy::none(), &mut 0).unwrap();
+    let report = polled.body_utf8_lossy();
+    assert_eq!(polled.status, 200, "{report}");
     assert_eq!(report, expected, "serve replay diverged from direct run");
 
     // A recorded source combined with models must 400 at submission.

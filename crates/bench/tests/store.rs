@@ -14,13 +14,15 @@
 //!   recorded and stored sources.
 
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tensordash_bench::experiment::{ExperimentSpec, SourceContext};
 use tensordash_bench::harness::TraceCache;
+use tensordash_bench::loadtest::await_report;
 use tensordash_bench::service::{Service, ServiceConfig};
 use tensordash_serde::json;
 use tensordash_serde::Serialize;
 use tensordash_server::http::{client_request, client_request_bytes};
+use tensordash_server::retry::RetryPolicy;
 use tensordash_sim::EvalSpec;
 use tensordash_store::TraceStore;
 use tensordash_trace::{
@@ -103,15 +105,8 @@ fn poll_report(addr: std::net::SocketAddr, submit_body: &str) -> (u16, String) {
         .as_int()
         .unwrap();
     let report_url = format!("/v1/jobs/{id}/report");
-    let deadline = Instant::now() + TIMEOUT;
-    loop {
-        let (status, body) = client_request(addr, "GET", &report_url, None, TIMEOUT).unwrap();
-        if status != 202 {
-            return (status, body);
-        }
-        assert!(Instant::now() < deadline, "job never finished");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    let polled = await_report(addr, &report_url, TIMEOUT, &RetryPolicy::none(), &mut 0).unwrap();
+    (polled.status, polled.body_utf8_lossy())
 }
 
 /// The tentpole acceptance gate: a binary-store replay is byte-identical

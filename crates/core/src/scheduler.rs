@@ -108,16 +108,6 @@ impl StreamRun {
             self.dense_cycles as f64 / self.cycles as f64
         }
     }
-
-    /// Fraction of multiplier slots that performed effectual work.
-    #[must_use]
-    pub fn utilization(&self, lanes: usize) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.macs as f64 / (self.cycles * lanes as u64) as f64
-        }
-    }
 }
 
 /// Aggregate statistics of running a lockstep row-group through a tile row
@@ -1001,12 +991,6 @@ impl RowEngine {
     #[must_use]
     pub fn is_done(&self) -> bool {
         self.exhausted && self.pending == 0
-    }
-
-    /// Leftover effectual bits in the window (diagnostics).
-    #[must_use]
-    pub fn residual_macs(&self) -> u32 {
-        self.z.iter().map(|m| m.count_ones()).sum()
     }
 }
 

@@ -60,12 +60,6 @@ impl EnergyModel {
         }
     }
 
-    /// Builds a model with custom constants.
-    #[must_use]
-    pub fn with_constants(chip: ChipConfig, k: EnergyConstants) -> Self {
-        EnergyModel { chip, k }
-    }
-
     /// The chip this model was built for.
     #[must_use]
     pub fn chip(&self) -> &ChipConfig {

@@ -35,12 +35,6 @@ impl Sgd {
         self.lr
     }
 
-    /// Sets the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
     /// Applies one update to every parameter of `network` using the
     /// gradients stored by the last backward pass.
     pub fn step(&mut self, network: &mut Network) {

@@ -80,11 +80,6 @@ impl Trainer {
         &self.network
     }
 
-    /// Mutable access to the network.
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.network
-    }
-
     /// The dataset.
     #[must_use]
     pub fn dataset(&self) -> &Dataset {

@@ -1,12 +1,13 @@
 //! Deterministic fault injection for chaos testing.
 //!
 //! A [`FaultPlan`] is a seeded, shareable decision source: every
-//! injection point in the stack (the connection handler, store I/O, the
-//! accept loop) asks it what to do at its site, and the plan answers
-//! from a splitmix64 stream keyed by `(seed, site, event counter)` — so
-//! two runs with the same seed and the same request interleaving inject
-//! the same faults, and a production server simply has no plan wired in
-//! (the `Option<Arc<FaultPlan>>` costs one branch per request).
+//! injection point in the stack (the connection's read, handle and
+//! write steps, store I/O) asks it what to do at its site, and the plan
+//! answers from a splitmix64 stream keyed by `(seed, site, event
+//! counter)` — so two runs with the same seed and the same request
+//! interleaving inject the same faults, and a production server simply
+//! has no plan wired in (the `Option<Arc<FaultPlan>>` costs one branch
+//! per request).
 //!
 //! The plan is deliberately std-only and knows nothing about HTTP or
 //! the store: sites report *where* they are, the plan says *what*

@@ -14,9 +14,9 @@
 //! * [`jobs`] — a bounded, generic [`JobQueue`]: back-pressure at
 //!   capacity, FIFO worker claiming, queryable job lifecycle, graceful
 //!   drain on shutdown;
-//! * [`server`] — the thread-pool [`Server`]: a polling
-//!   accept loop feeding connection-handler threads, shutting down
-//!   cooperatively on an in-process flag, `SIGTERM`, or an idle timeout;
+//! * [`server`] — the thread-pool [`Server`]: connection threads each
+//!   blocked in `accept` on one listener, shutting down cooperatively on
+//!   an in-process flag, `SIGTERM`, or an idle timeout;
 //! * [`retry`] — the client-side [`RetryPolicy`]: jittered exponential
 //!   backoff, budget-capped, honoring `Retry-After` on 429/503;
 //! * [`fault`] — the seeded [`FaultPlan`] chaos harness: deterministic

@@ -1,15 +1,16 @@
-//! The thread-pool HTTP server: a polling accept loop feeding a fixed
-//! pool of connection-handler threads, with cooperative shutdown from
-//! three sources — an in-process [`ShutdownFlag`] (the `/v1/shutdown`
-//! route), `SIGTERM`, and an idle timeout consulted against the handler.
+//! The thread-pool HTTP server: a fixed pool of connection threads, each
+//! blocked in `accept` on the shared listener, with cooperative shutdown
+//! from three sources — an in-process [`ShutdownFlag`] (the
+//! `/v1/shutdown` route), `SIGTERM`, and an idle timeout consulted
+//! against the handler. Shutdown wakes the blocked accepts with loopback
+//! connections, then drains what was already accepted.
 
 use crate::fault::{panic_message, Fault, FaultPlan, FaultSite};
 use crate::http::{read_request, ParseError, Request, Response};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -85,13 +86,14 @@ pub trait Handler: Send + Sync + 'static {
     }
 }
 
-/// A cooperative shutdown signal shared between the accept loop and
+/// A cooperative shutdown signal shared between [`Server::run`] and
 /// whoever wants to stop it (a route handler, a test, a signal).
 #[derive(Debug, Default)]
 pub struct ShutdownFlag(AtomicBool);
 
 impl ShutdownFlag {
-    /// Requests shutdown; the accept loop notices within one poll tick.
+    /// Requests shutdown; [`Server::run`] notices within one watch tick,
+    /// wakes its pool and drains.
     pub fn request(&self) {
         self.0.store(true, Ordering::SeqCst);
     }
@@ -150,8 +152,9 @@ mod sigterm {
     }
 }
 
-/// How often the accept loop checks its shutdown conditions.
-const POLL_TICK: Duration = Duration::from_millis(20);
+/// How often [`Server::run`]'s calling thread checks the stop
+/// conditions. Only shutdown waits on it; requests never do.
+const WATCH_TICK: Duration = Duration::from_millis(20);
 
 /// A bound, not-yet-running server.
 pub struct Server {
@@ -172,7 +175,6 @@ impl Server {
     /// Returns the bind error.
     pub fn bind(config: ServerConfig, handler: Arc<dyn Handler>) -> io::Result<Server> {
         let listener = TcpListener::bind(config.addr)?;
-        listener.set_nonblocking(true)?;
         sigterm::install();
         Ok(Server {
             listener,
@@ -208,181 +210,169 @@ impl Server {
     }
 
     /// Serves until shutdown is requested (flag, `SIGTERM`, or idle
-    /// timeout), then drains: queued connections are answered and pool
-    /// threads joined before returning.
+    /// timeout), then drains: connections already accepted are answered
+    /// and pool threads joined before returning.
+    ///
+    /// Every pool thread blocks in `accept` on the shared listener and
+    /// handles what it accepts, so no request waits on a timer. The
+    /// calling thread watches the stop conditions; when one fires it
+    /// wakes each blocked `accept` with a loopback connection.
     ///
     /// # Errors
     ///
-    /// Returns accept-loop I/O errors other than the expected
-    /// `WouldBlock`.
+    /// Returns the first `accept` error; the rest of the pool still
+    /// drains before it is returned.
     pub fn run(self) -> io::Result<()> {
         let pool_size = self.config.connection_threads.max(1);
-        // A rendezvous-ish channel: accepted connections queue only
-        // shallowly (2× pool) so back-pressure reaches the TCP backlog
-        // instead of ballooning a private buffer.
-        let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) = sync_channel(pool_size * 2);
-        let rx = Arc::new(Mutex::new(rx));
-        let last_activity = Arc::new(Mutex::new(Instant::now()));
-
-        let pool: Vec<_> = (0..pool_size)
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let handler = Arc::clone(&self.handler);
-                let last_activity = Arc::clone(&last_activity);
-                let max_body = self.config.max_body_bytes;
-                let read_timeout = self.config.read_timeout;
-                let plan = self.config.faults.clone();
-                let faults = Arc::clone(&self.faults);
-                std::thread::spawn(move || loop {
-                    // Hold the lock only for the dequeue, not the request.
-                    let next = rx.lock().expect("connection queue poisoned").recv();
-                    let Ok(mut stream) = next else { return };
-                    *last_activity.lock().expect("activity clock poisoned") = Instant::now();
-                    handle_connection(
-                        &mut stream,
-                        handler.as_ref(),
-                        max_body,
-                        read_timeout,
-                        plan.as_deref(),
-                        &faults,
-                    );
-                })
-            })
-            .collect();
-
-        loop {
-            if self.shutdown.is_requested() || sigterm::received() {
-                break;
+        let stopping = AtomicBool::new(false);
+        let last_activity = Mutex::new(Instant::now());
+        std::thread::scope(|scope| {
+            let pool: Vec<_> = (0..pool_size)
+                .map(|_| scope.spawn(|| self.serve_accepted(&stopping, &last_activity)))
+                .collect();
+            while !stopping.load(Ordering::SeqCst) && !self.stop_requested(&last_activity) {
+                std::thread::sleep(WATCH_TICK);
             }
-            if let Some(idle) = self.config.idle_shutdown {
-                let quiet = last_activity
-                    .lock()
-                    .expect("activity clock poisoned")
-                    .elapsed();
-                if quiet >= idle && self.handler.is_idle() {
-                    break;
-                }
+            stopping.store(true, Ordering::SeqCst);
+            let wake = self.wake_addr();
+            for _ in 0..pool_size {
+                // One wake per thread; a thread busy in a handler
+                // leaves its wake unaccepted, which is harmless.
+                let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
             }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let mut pending = stream;
-                    // Busy pool: retry until a slot frees or shutdown.
-                    loop {
-                        match tx.try_send(pending) {
-                            Ok(()) => break,
-                            Err(TrySendError::Full(back)) => {
-                                if self.shutdown.is_requested() || sigterm::received() {
-                                    // Accepted but never handled: answer
-                                    // 503 rather than a silent reset.
-                                    let mut stream = back;
-                                    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-                                    let _ = Response::json(
-                                        503,
-                                        "{\"error\": \"server is shutting down\"}",
-                                    )
-                                    .with_header("retry-after", "1")
-                                    .write_to(&mut stream);
-                                    break;
-                                }
-                                pending = back;
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                            Err(TrySendError::Disconnected(_)) => {
-                                unreachable!("pool outlives the accept loop")
-                            }
-                        }
+            // A worker that died (its thread panicked outside the
+            // isolated handler path) is logged and counted, never allowed
+            // to abort the drain of the healthy rest.
+            let mut first_error = None;
+            for worker in pool {
+                match worker.join() {
+                    Ok(Ok(())) => {}
+                    Ok(Err(e)) => {
+                        first_error.get_or_insert(e);
+                    }
+                    Err(_) => {
+                        self.faults.dead_workers.fetch_add(1, Ordering::Relaxed);
+                        eprintln!("tensordash-server: a connection worker died; draining the rest");
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_TICK);
+            }
+            first_error.map_or(Ok(()), Err)
+        })
+    }
+
+    /// One pool thread: accept, answer, repeat until `stopping`. Whatever
+    /// it accepts is answered, a wake connection (closed at once, so read
+    /// as a dropped peer) included.
+    fn serve_accepted(
+        &self,
+        stopping: &AtomicBool,
+        last_activity: &Mutex<Instant>,
+    ) -> io::Result<()> {
+        while !stopping.load(Ordering::SeqCst) {
+            match self.listener.accept() {
+                Ok((mut stream, _peer)) => {
+                    *last_activity.lock().expect("activity clock poisoned") = Instant::now();
+                    self.handle_connection(&mut stream);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-
-        // Drain: close the channel, let workers finish queued connections.
-        // A worker that died (its thread panicked outside the isolated
-        // handler path) is logged and counted, never allowed to abort
-        // the drain of the healthy rest.
-        drop(tx);
-        for worker in pool {
-            if worker.join().is_err() {
-                self.faults.dead_workers.fetch_add(1, Ordering::Relaxed);
-                eprintln!("tensordash-server: a connection worker died; draining the rest");
+                Err(e) => {
+                    stopping.store(true, Ordering::SeqCst);
+                    return Err(e);
+                }
             }
         }
         Ok(())
     }
-}
 
-/// Parses one request and writes one response; parse failures get their
-/// mapped 4xx when the connection can still be written to. The handler
-/// itself runs under `catch_unwind`: a panicking route becomes a 500
-/// with the panic message, never a dead pool thread.
-fn handle_connection(
-    stream: &mut TcpStream,
-    handler: &dyn Handler,
-    max_body_bytes: usize,
-    read_timeout: Duration,
-    plan: Option<&FaultPlan>,
-    faults: &ServerFaultStats,
-) {
-    // A stuck or malicious peer must not pin a pool thread forever.
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let _ = stream.set_write_timeout(Some(read_timeout.max(Duration::from_secs(10))));
-    if let Some(plan) = plan {
-        // An injected read fault is a peer whose connection died before
-        // the request arrived: drop it unanswered.
-        if plan.decide(FaultSite::Read) == Fault::Error {
-            return;
-        }
+    /// Whether the flag, `SIGTERM` or the idle timeout asks for shutdown.
+    fn stop_requested(&self, last_activity: &Mutex<Instant>) -> bool {
+        self.shutdown.is_requested()
+            || sigterm::received()
+            || self.config.idle_shutdown.is_some_and(|idle| {
+                let quiet = last_activity
+                    .lock()
+                    .expect("activity clock poisoned")
+                    .elapsed();
+                quiet >= idle && self.handler.is_idle()
+            })
     }
-    let response = match read_request(stream, max_body_bytes) {
-        Ok(request) => {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(plan) = plan {
-                    match plan.decide(FaultSite::Handle) {
-                        Fault::Panic => panic!("injected handler panic"),
-                        Fault::Delay(millis) => {
-                            std::thread::sleep(Duration::from_millis(millis));
-                        }
-                        Fault::Error => return None,
-                        Fault::None => {}
-                    }
-                }
-                Some(handler.handle(&request))
-            }));
-            match outcome {
-                Ok(Some(response)) => response,
-                // An injected handler fault: the connection just dies,
-                // as it would under a real mid-response crash.
-                Ok(None) => return,
-                Err(payload) => {
-                    faults.handler_panics.fetch_add(1, Ordering::Relaxed);
-                    let message = panic_message(&*payload);
-                    eprintln!("tensordash-server: handler panicked: {message}");
-                    Response::json(
-                        500,
-                        format!(
-                            "{{\"error\": {}}}",
-                            crate::http::json_escape(&format!("handler panicked: {message}"))
-                        ),
-                    )
-                }
+
+    /// Where a wake connection goes: the bound address, with a wildcard
+    /// IP replaced by the loopback of its family.
+    fn wake_addr(&self) -> SocketAddr {
+        let mut addr = self.local_addr();
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        addr
+    }
+
+    /// Parses one request and writes one response; parse failures get
+    /// their mapped 4xx when the connection can still be written to. The
+    /// handler itself runs under `catch_unwind`: a panicking route
+    /// becomes a 500 with the panic message, never a dead pool thread.
+    fn handle_connection(&self, stream: &mut TcpStream) {
+        let read_timeout = self.config.read_timeout;
+        let plan = self.config.faults.as_deref();
+        // A stuck or malicious peer must not pin a pool thread forever.
+        let _ = stream.set_read_timeout(Some(read_timeout));
+        let _ = stream.set_write_timeout(Some(read_timeout.max(Duration::from_secs(10))));
+        if let Some(plan) = plan {
+            // An injected read fault is a peer whose connection died
+            // before the request arrived: drop it unanswered.
+            if plan.decide(FaultSite::Read) == Fault::Error {
+                return;
             }
         }
-        Err(ParseError::ConnectionClosed | ParseError::Io(_)) => return,
-        Err(e @ ParseError::HeadTooLarge) => error_response(431, &e),
-        Err(e @ ParseError::BodyTooLarge(_)) => error_response(413, &e),
-        Err(e @ ParseError::Malformed(_)) => error_response(400, &e),
-    };
-    if let Some(plan) = plan {
-        if plan.decide(FaultSite::Write) == Fault::Error {
-            return;
+        let response = match read_request(stream, self.config.max_body_bytes) {
+            Ok(request) => {
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    if let Some(plan) = plan {
+                        match plan.decide(FaultSite::Handle) {
+                            Fault::Panic => panic!("injected handler panic"),
+                            Fault::Delay(millis) => {
+                                std::thread::sleep(Duration::from_millis(millis));
+                            }
+                            Fault::Error => return None,
+                            Fault::None => {}
+                        }
+                    }
+                    Some(self.handler.handle(&request))
+                }));
+                match outcome {
+                    Ok(Some(response)) => response,
+                    // An injected handler fault: the connection just
+                    // dies, as it would under a real mid-response crash.
+                    Ok(None) => return,
+                    Err(payload) => {
+                        self.faults.handler_panics.fetch_add(1, Ordering::Relaxed);
+                        let message = panic_message(&*payload);
+                        eprintln!("tensordash-server: handler panicked: {message}");
+                        Response::json(
+                            500,
+                            format!(
+                                "{{\"error\": {}}}",
+                                crate::http::json_escape(&format!("handler panicked: {message}"))
+                            ),
+                        )
+                    }
+                }
+            }
+            Err(ParseError::ConnectionClosed | ParseError::Io(_)) => return,
+            Err(e @ ParseError::HeadTooLarge) => error_response(431, &e),
+            Err(e @ ParseError::BodyTooLarge(_)) => error_response(413, &e),
+            Err(e @ ParseError::Malformed(_)) => error_response(400, &e),
+        };
+        if let Some(plan) = plan {
+            if plan.decide(FaultSite::Write) == Fault::Error {
+                return;
+            }
         }
+        let _ = response.write_to(stream);
     }
-    let _ = response.write_to(stream);
 }
 
 fn error_response(status: u16, error: &ParseError) -> Response {
@@ -566,5 +556,78 @@ mod tests {
         assert!(out.starts_with("HTTP/1.1 400"), "{out}");
         flag.request();
         handle.join().unwrap().unwrap();
+    }
+
+    /// Joins `handle`, failing instead of hanging if it outlives `limit`.
+    fn join_within(handle: std::thread::JoinHandle<io::Result<()>>, limit: Duration) {
+        let deadline = Instant::now() + limit;
+        while !handle.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "server still running after {limit:?}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        handle.join().unwrap().unwrap();
+    }
+
+    /// An idle server answers at once: no request waits on a timer.
+    #[test]
+    fn an_idle_server_answers_without_waiting_on_a_tick() {
+        let (addr, flag, handle) = spawn_echo(ServerConfig::default());
+        std::thread::sleep(Duration::from_millis(30));
+        let mut round_trips: Vec<Duration> = (0..15)
+            .map(|_| {
+                let start = Instant::now();
+                let (status, _) =
+                    client_request(addr, "GET", "/healthz", None, Duration::from_secs(10)).unwrap();
+                assert_eq!(status, 200);
+                start.elapsed()
+            })
+            .collect();
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(median < Duration::from_millis(5), "{round_trips:?}");
+        flag.request();
+        handle.join().unwrap().unwrap();
+    }
+
+    /// A wildcard bind wakes its pool through loopback on shutdown.
+    #[test]
+    fn a_wildcard_bind_shuts_down_on_its_flag() {
+        let (addr, flag, handle) = spawn_echo(ServerConfig {
+            addr: SocketAddr::from(([0, 0, 0, 0], 0)),
+            ..ServerConfig::default()
+        });
+        let local = SocketAddr::from(([127, 0, 0, 1], addr.port()));
+        let (status, _) =
+            client_request(local, "GET", "/healthz", None, Duration::from_secs(10)).unwrap();
+        assert_eq!(status, 200);
+        flag.request();
+        join_within(handle, Duration::from_secs(10));
+    }
+
+    /// A request already inside a slow handler when the flag fires is
+    /// still answered before `run` returns.
+    #[test]
+    fn shutdown_drains_a_request_inside_a_slow_handler() {
+        struct StopThenSleep(std::sync::OnceLock<Arc<ShutdownFlag>>);
+        impl Handler for StopThenSleep {
+            fn handle(&self, _req: &Request) -> Response {
+                self.0.get().expect("flag set before serving").request();
+                // Outlasts many watch ticks: the wake lands mid-handler.
+                std::thread::sleep(Duration::from_millis(300));
+                Response::json(200, "{\"ok\": true}")
+            }
+        }
+        let handler = Arc::new(StopThenSleep(std::sync::OnceLock::new()));
+        let server = Server::bind(ServerConfig::default(), Arc::clone(&handler) as _).unwrap();
+        handler.0.set(server.shutdown_flag()).unwrap();
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run());
+        let (status, body) =
+            client_request(addr, "GET", "/slow", None, Duration::from_secs(10)).unwrap();
+        assert_eq!(status, 200, "{body}");
+        join_within(handle, Duration::from_secs(10));
     }
 }

@@ -103,12 +103,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-dimensional coordinate.
     #[must_use]
     pub fn at(&self, coords: &[usize]) -> f32 {
@@ -140,13 +134,6 @@ impl Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
-    /// In-place element-wise map.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
         }
     }
 
