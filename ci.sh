@@ -32,6 +32,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib --quiet
 step "cargo test -q --workspace"
 cargo test -q --workspace
 
+step "golden suite pinned to one CPU (the 1-worker build and simulate paths)"
+# The workspace run above checks the goldens at the host's core count;
+# pinned to one CPU, the trace build and the simulator batch both take
+# the shared loop's in-thread path, and the goldens must still match.
+if command -v taskset >/dev/null; then
+  taskset -c 0 cargo test -q -p tensordash-bench --test golden
+else
+  echo "taskset not found: skipping the single-CPU golden run"
+fi
+
 step "nn golden-reference suite (vectorized kernels bit-identical to scalar)"
 # Run the property suite by name so a red kernel is impossible to miss in
 # the CI log even though the workspace run above already covers it.

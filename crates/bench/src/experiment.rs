@@ -267,32 +267,20 @@ impl ExperimentSpec {
     ///
     /// # Errors
     ///
-    /// As [`run_with`](ExperimentSpec::run_with).
+    /// As [`run_in`](ExperimentSpec::run_in).
     pub fn run(&self) -> Result<Vec<ModelReport>, ExperimentError> {
         self.run_cached(&TraceCache::new())
     }
 
-    /// As [`run`](ExperimentSpec::run), building traces through `cache`.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_with`](ExperimentSpec::run_with).
-    pub fn run_cached(&self, cache: &TraceCache) -> Result<Vec<ModelReport>, ExperimentError> {
-        self.run_with(cache, &mut |_, _| {})
-    }
-
-    /// As [`run_in`](ExperimentSpec::run_in) under the local CLI's trust
-    /// rules (direct filesystem paths, no store).
+    /// As [`run`](ExperimentSpec::run), building traces through `cache`,
+    /// under the local CLI's trust rules (direct filesystem paths, no
+    /// store).
     ///
     /// # Errors
     ///
     /// As [`run_in`](ExperimentSpec::run_in).
-    pub fn run_with(
-        &self,
-        cache: &TraceCache,
-        observe: &mut dyn FnMut(&str, f64),
-    ) -> Result<Vec<ModelReport>, ExperimentError> {
-        self.run_in(cache, &SourceContext::local(), observe)
+    pub fn run_cached(&self, cache: &TraceCache) -> Result<Vec<ModelReport>, ExperimentError> {
+        self.run_in(cache, &SourceContext::local(), &mut |_, _| {})
     }
 
     /// The one execution path every consumer shares — the one-shot CLI,

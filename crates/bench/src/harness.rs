@@ -231,15 +231,6 @@ impl TraceCache {
             .unwrap_or_else(|e| unreachable!("calibrated sources are infallible: {e}"))
     }
 
-    /// `(hits, misses)` so far.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
     /// Hit/miss/eviction counters.
     #[must_use]
     pub fn counters(&self) -> TraceCacheStats {
@@ -566,7 +557,12 @@ mod tests {
             assert_eq!(cached, uncached, "rows {rows} diverged under caching");
         }
         assert_eq!(cache.len(), 1, "one build serves every geometry");
-        assert_eq!(cache.stats(), (2, 1), "two hits after the first build");
+        let counters = cache.counters();
+        assert_eq!(
+            (counters.hits, counters.misses),
+            (2, 1),
+            "two hits after the first build"
+        );
 
         // A different seed is a different key — no false sharing.
         let other = EvalSpec {

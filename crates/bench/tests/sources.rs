@@ -17,7 +17,7 @@ use tensordash_bench::train::{capture_training, TrainOptions};
 use tensordash_models::{layer_traces, paper_models, CalibratedSource};
 use tensordash_serde::{json, Serialize};
 use tensordash_sim::{ChipConfig, EvalSpec, LayerReport, ModelReport, Simulator};
-use tensordash_trace::{OpTrace, RecordedSource, TraceSource};
+use tensordash_trace::{OpTrace, RecordedSource, TraceRequest, TraceSource};
 
 fn temp_file(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tensordash-sources-{}", std::process::id()));
@@ -44,7 +44,7 @@ fn pre_refactor_report(sim: &Simulator, model_index: usize, spec: &EvalSpec) -> 
 }
 
 /// Acceptance gate: every calibrated consumer — `eval_model`, the cached
-/// path, and `simulate_source` over a `CalibratedSource` — must be
+/// path, and a `CalibratedSource`'s `layer_ops` fed to `simulate_model` — must be
 /// byte-identical to the pre-refactor pipeline.
 #[test]
 fn calibrated_source_reports_are_byte_identical_to_the_pre_refactor_path() {
@@ -68,7 +68,18 @@ fn calibrated_source_reports_are_byte_identical_to_the_pre_refactor_path() {
         assert_eq!(json::write(&cached.serialize()), reference_bytes);
 
         let source = CalibratedSource::new(model.clone());
-        let via_source = sim.simulate_source(&source, &spec).unwrap();
+        let request = TraceRequest {
+            progress: spec.progress,
+            lanes: sim.chip().tile.pe.lanes(),
+            sample: spec.sample,
+            seed: spec.seed,
+        };
+        let layers = source.layer_ops(&request).unwrap();
+        let groups: Vec<(&str, &[OpTrace])> = layers
+            .iter()
+            .map(|(name, ops)| (name.as_str(), ops.as_slice()))
+            .collect();
+        let via_source = sim.simulate_model(source.label(), &groups);
         assert_eq!(
             json::write(&via_source.serialize()),
             reference_bytes,

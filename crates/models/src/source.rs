@@ -11,7 +11,12 @@ use tensordash_trace::{LayerOps, SourceError, TraceRequest, TraceSource};
 ///
 /// `layer_ops` delegates to [`layer_traces`] unchanged, so reports built
 /// through this source are **bit-identical** to the pre-`TraceSource`
-/// pipeline (enforced by `crates/bench/tests/sources.rs`).
+/// pipeline (enforced by `crates/bench/tests/sources.rs`). That build runs
+/// the model's (layer, op) traces in parallel and stays byte-identical to
+/// a serial build, since each draws from its own seed and results return
+/// in input order. The arenas are allocated on the calling thread and
+/// only filled by the workers, so freed trace memory goes back to one heap
+/// rather than staying in the allocator's per-thread heaps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CalibratedSource {
     model: ModelSpec,

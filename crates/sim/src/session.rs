@@ -5,14 +5,13 @@
 //! This is the public API experiments are written against.
 
 use crate::config::ChipConfig;
-use crate::eval::EvalSpec;
 use crate::exec::{self, ExecMode, OpSim};
 use crate::report::{LayerReport, ModelReport, OpAggregate};
 use crate::tile::Tile;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tensordash_trace::{OpTrace, SourceError, TraceRequest, TraceSource};
+use tensordash_trace::{default_threads, par_map, OpTrace};
 
 /// A cooperative cancellation signal for long simulations: an explicit
 /// flag, an optional wall-clock deadline, or both. Workers consult it at
@@ -117,12 +116,9 @@ impl Simulator {
     /// A session for the given chip.
     #[must_use]
     pub fn new(chip: ChipConfig) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map_or(1, usize::from)
-            .min(8);
         Simulator {
             chip,
-            threads,
+            threads: default_threads(),
             tile: Tile::with_scheduler(chip.tile, chip.scheduler),
         }
     }
@@ -134,8 +130,8 @@ impl Simulator {
     }
 
     /// Overrides the worker-thread count used by
-    /// [`simulate_batch`](Simulator::simulate_batch) (defaults to the
-    /// available parallelism, capped at 8). Results are identical at any
+    /// [`simulate_batch`](Simulator::simulate_batch) (defaults to
+    /// [`default_threads`]). Results are identical at any
     /// thread count; this only changes wall-clock time.
     ///
     /// # Panics
@@ -198,7 +194,8 @@ impl Simulator {
     ///
     /// Scheduling is **work-stealing with intra-run sharding**: every
     /// *(group, operation, tile row-group chunk)* triple is one work item,
-    /// and workers claim items off a shared atomic index as they finish.
+    /// and workers claim items off a shared atomic index as they finish
+    /// (the workspace's one loop, [`tensordash_trace::par_map`]).
     /// A batch of many small layers balances exactly as before, and a
     /// *single* big operation (one transformer-MLP matmul) also shards
     /// across every thread instead of pinning one worker — the chunks are
@@ -206,7 +203,7 @@ impl Simulator {
     /// [`Tile::run_group_arena`](crate::Tile::run_group_arena).
     ///
     /// The reduction-order contract: each chunk's aggregates land in their
-    /// own pre-allocated slot, and after the pool joins they are merged
+    /// own slot, and after the workers join they are merged
     /// per operation in input (chunk) order before the full-op scaling
     /// runs once. Every merged field is an exact `u64` sum, so reports
     /// are bit-identical to a sequential run and always in input order,
@@ -244,22 +241,25 @@ impl Simulator {
         groups: &[(&str, &[OpTrace])],
         cancel: &CancelToken,
     ) -> Result<Vec<LayerReport>, Cancelled> {
-        // One validated plan per (group, op) and one pre-allocated slot
-        // per (group, op, chunk): workers write disjoint slots, the
-        // reduction below reads them in input order.
+        self.batch_until(groups, || cancel.is_cancelled())
+    }
+
+    /// The batch body behind
+    /// [`simulate_batch_cancellable`](Simulator::simulate_batch_cancellable),
+    /// with the stop check as a plain predicate.
+    fn batch_until(
+        &self,
+        groups: &[(&str, &[OpTrace])],
+        stop: impl Fn() -> bool + Sync,
+    ) -> Result<Vec<LayerReport>, Cancelled> {
+        // One validated plan per (group, op) and one work item per
+        // (group, op, chunk); the shared loop hands the partials back in
+        // item order, which the reduction below walks.
         let plans: Vec<Vec<exec::SampledPlan>> = groups
             .iter()
             .map(|(_, ops)| {
                 ops.iter()
                     .map(|trace| exec::SampledPlan::new(&self.chip, trace))
-                    .collect()
-            })
-            .collect();
-        let slots: Vec<Vec<Vec<OnceLock<exec::Sampled>>>> = plans
-            .iter()
-            .map(|ops| {
-                ops.iter()
-                    .map(|plan| (0..plan.chunks()).map(|_| OnceLock::new()).collect())
                     .collect()
             })
             .collect();
@@ -272,55 +272,25 @@ impl Simulator {
                     .flat_map(move |(o, plan)| (0..plan.chunks()).map(move |c| (g, o, c)))
             })
             .collect();
-
-        let workers = self.threads.min(items.len());
-        let run_item = |&(g, o, c): &(usize, usize, usize)| {
-            let sampled = plans[g][o].run_chunk(&self.tile, c);
-            slots[g][o][c]
-                .set(sampled)
-                .expect("each work item is claimed exactly once");
-        };
-        if workers <= 1 {
-            // In-thread fast path: no spawn overhead on single-core hosts.
-            for item in &items {
-                if cancel.is_cancelled() {
-                    return Err(Cancelled);
-                }
-                run_item(item);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        if cancel.is_cancelled() {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        run_item(item);
-                    });
-                }
-            });
-        }
+        let mut partials = par_map(items, self.threads, stop, |(g, o, c)| {
+            plans[g][o].run_chunk(&self.tile, c)
+        })
+        .into_iter();
 
         // The deterministic reduction: per (group, op), merge chunk
         // partials in input order (exact u64 sums), then run the full-op
         // scaling once over the merged aggregates — byte-identical to the
         // serial loop at any thread count.
         let mut layers = Vec::with_capacity(groups.len());
-        for ((label, traces), row) in groups.iter().zip(slots) {
-            let mut ops = Vec::with_capacity(row.len());
-            for (trace, chunk_slots) in traces.iter().zip(row) {
+        for ((label, traces), ops_plans) in groups.iter().zip(&plans) {
+            let mut ops = Vec::with_capacity(traces.len());
+            for (trace, plan) in traces.iter().zip(ops_plans) {
                 let mut merged = exec::Sampled::default();
-                for slot in chunk_slots {
-                    // An unfilled slot means a worker bailed at the
-                    // boundary: the batch is incomplete and must not
-                    // pretend otherwise.
-                    match slot.into_inner() {
-                        Some(partial) => merged.absorb(&partial),
-                        None => return Err(Cancelled),
-                    }
+                for partial in partials.by_ref().take(plan.chunks()) {
+                    // An unfilled slot means the stop fired before the
+                    // item was claimed: the batch is incomplete and must
+                    // not pretend otherwise.
+                    merged.absorb(&partial.ok_or(Cancelled)?);
                 }
                 let (tensordash, baseline) =
                     exec::finish_pair(&self.chip, &self.tile, trace, &merged);
@@ -366,40 +336,6 @@ impl Simulator {
             layers: self.simulate_batch_cancellable(groups, cancel)?,
         })
     }
-
-    /// Evaluates a whole workload from any [`TraceSource`] — calibrated
-    /// profile, recorded artifact, or an in-memory provider — under
-    /// `spec`'s methodology, through the same
-    /// [`simulate_batch`](Simulator::simulate_batch) path every report
-    /// flows through. The report is labelled with the source's
-    /// [`label`](TraceSource::label).
-    ///
-    /// `spec.source` is *declarative* routing data for the experiment
-    /// layer; this method simulates whichever `source` it is handed and
-    /// reads only the methodology fields (progress, sampling, seed).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the source's [`SourceError`] (lane-width mismatch
-    /// against a recording, an empty artifact, ...).
-    pub fn simulate_source(
-        &self,
-        source: &dyn TraceSource,
-        spec: &EvalSpec,
-    ) -> Result<ModelReport, SourceError> {
-        let request = TraceRequest {
-            progress: spec.progress,
-            lanes: self.chip.tile.pe.lanes(),
-            sample: spec.sample,
-            seed: spec.seed,
-        };
-        let layers = source.layer_ops(&request)?;
-        let groups: Vec<(&str, &[OpTrace])> = layers
-            .iter()
-            .map(|(name, ops)| (name.as_str(), ops.as_slice()))
-            .collect();
-        Ok(self.simulate_model(source.label(), &groups))
-    }
 }
 
 impl From<ChipConfig> for Simulator {
@@ -411,6 +347,7 @@ impl From<ChipConfig> for Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
     use tensordash_trace::{ConvDims, SampleSpec, SparsityGen, TrainingOp, UniformSparsity};
 
     fn traces(sparsity: f64, n: u64) -> Vec<OpTrace> {
@@ -564,6 +501,23 @@ mod tests {
         let unbounded = CancelToken::unbounded();
         let cancellable = sim.simulate_batch_cancellable(&groups, &unbounded).unwrap();
         assert_eq!(cancellable, sim.simulate_batch(&groups));
+    }
+
+    /// A stop that fires mid-run, after the third finished work item,
+    /// leaves the rest unclaimed: the batch still returns `Cancelled`
+    /// rather than a report built from part of the items.
+    #[test]
+    fn a_stop_mid_run_returns_cancelled() {
+        let sim = Simulator::paper();
+        let ops = traces(0.5, 12);
+        let groups: Vec<(&str, &[OpTrace])> = ops.chunks(3).map(|c| ("layer", c)).collect();
+        for threads in [1, 2, 8] {
+            let sim = sim.clone().with_threads(threads);
+            let claims = AtomicUsize::new(0);
+            let stop = || claims.fetch_add(1, Ordering::SeqCst) >= 3;
+            assert_eq!(sim.batch_until(&groups, stop), Err(Cancelled));
+            assert!(claims.load(Ordering::SeqCst) > 3, "the stop fired mid-run");
+        }
     }
 
     /// The service contract: one `Simulator` session and its report types

@@ -34,6 +34,10 @@
 //! interchangeable encodings with one content identity: readable v1 JSON
 //! ([`record`]) and the compact binary `tensordash-trace/2` ([`binfmt`])
 //! whose load path is a near-memcpy walk over the mask arena.
+//!
+//! [`par`] holds the one order-preserving work-stealing loop
+//! ([`par_map`]) and default thread count ([`default_threads`]) that the
+//! simulator's batches and the model zoo's trace builds both run on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,6 +45,7 @@
 pub mod binfmt;
 pub mod dims;
 pub mod extract;
+pub mod par;
 pub mod record;
 pub mod source;
 pub mod sparsity;
@@ -52,6 +57,7 @@ pub use dims::{ConvDims, TrainingOp};
 pub use extract::{
     extract_op_trace, extract_op_trace_reference, sampled_window_indices, LayerTensors,
 };
+pub use par::{default_threads, par_map};
 pub use record::{
     content_digest, EpochRecord, RecordedSource, RecordingMeta, TraceRecording, TrainMetrics,
     RECORDING_SCHEMA,

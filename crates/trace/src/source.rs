@@ -10,7 +10,7 @@
 //!  Calibrated (models::zoo + synthetic generators)  ─┐
 //!  Live       (nn::Trainer epoch iterator)          ─┼─► TraceSource
 //!  Recorded   (versioned .trace.json artifact)      ─┘      │
-//!                                                    Simulator::simulate_source
+//!                                                  Simulator::simulate_model
 //! ```
 
 use crate::stream::{OpTrace, SampleSpec};
